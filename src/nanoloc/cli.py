@@ -82,7 +82,7 @@ def _coerce(key: str, value: Any) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"config key '{key}' must be a number")
     if key in _INT_KEYS:
-        if int(value) != value:
+        if not math.isfinite(value) or int(value) != value:
             raise ConfigurationError(f"config key '{key}' must be an integer")
         return int(value)
     return float(value)
@@ -360,7 +360,9 @@ def parse_result_csv(path: str | Path) -> list[ResultRow]:
     """Read back a results CSV produced by emit_results."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty results file {path}")
         if tuple(header) != RESULT_FIELDS:
             raise ValueError(f"unexpected results header: {header!r}")
         rows = []

@@ -11,8 +11,8 @@ residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,10 @@ _COPLANAR_REL_TOL = 1e-9
 _GN_MAX_ITERATIONS = 20
 _GN_STEP_TOL_M = 1e-9
 _GN_MAX_BACKTRACKS = 8
+_GN_DAMPING = 1e-9 * np.eye(3)
+# Step scales tried after the full step: 1/2 ... 1/128.  Exact powers of
+# two, so each equals the repeatedly halved scale bit for bit.
+_GN_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, _GN_MAX_BACKTRACKS))
 
 
 class DegenerateGeometryError(ValueError):
@@ -55,18 +59,31 @@ class AnchorSet:
         if np.linalg.matrix_rank(spans, tol=1e-12 * max(1.0, self.span_m)) < 2:
             raise DegenerateGeometryError("anchors are collinear")
 
-    @property
+    @cached_property
     def span_m(self) -> float:
         """Largest pairwise anchor separation; scales tolerances."""
         pos = self.positions
         return float(max(np.linalg.norm(pos[i] - pos[j])
                          for i in range(4) for j in range(i + 1, 4)))
 
-    @property
+    @cached_property
     def coplanar_z(self) -> bool:
         """True when all anchors share one z-plane."""
         z = self.positions[:, 2]
         return float(np.ptp(z)) <= _COPLANAR_REL_TOL * max(1.0, self.span_m)
+
+    @cached_property
+    def reduced_lhs(self) -> np.ndarray:
+        """(3, 3) matrix of the linear system left after subtracting the
+        first anchor's sphere equation from the others."""
+        return 2.0 * (self.positions[1:] - self.positions[0])
+
+    @cached_property
+    def reduced_rank(self) -> int:
+        """Rank of the reduced linear system; of its (x, y) columns only
+        when the anchors are coplanar in z."""
+        lhs = self.reduced_lhs[:, :2] if self.coplanar_z else self.reduced_lhs
+        return int(np.linalg.matrix_rank(lhs, tol=1e-12 * max(1.0, self.span_m)))
 
     @property
     def z_plane_m(self) -> float:
@@ -131,18 +148,16 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
         return np.empty((0, 3))
     pos = anchors.positions
     a0 = pos[0]
-    lhs = 2.0 * (pos[1:] - a0)                           # (3, 3)
+    lhs = anchors.reduced_lhs                            # (3, 3)
     rhs = (d[:, 0:1] ** 2 - d[:, 1:] ** 2
            + np.sum(pos[1:] ** 2, axis=1)[None, :]
            - float(np.sum(a0 ** 2)))                     # (m, 3)
 
-    rank_tol = 1e-12 * max(1.0, anchors.span_m)
     if anchors.coplanar_z:
-        lhs_xy = lhs[:, :2]
-        if np.linalg.matrix_rank(lhs_xy, tol=rank_tol) < 2:
+        if anchors.reduced_rank < 2:
             raise DegenerateGeometryError(
                 "anchor geometry does not determine a horizontal position")
-        xy, *_ = np.linalg.lstsq(lhs_xy, rhs.T, rcond=None)
+        xy, *_ = np.linalg.lstsq(lhs[:, :2], rhs.T, rcond=None)
         xy = xy.T                                        # (m, 2)
         # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
         # height above the anchor plane; noise can push it negative, in
@@ -151,7 +166,7 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
         z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
         estimate = np.column_stack([xy, anchors.z_plane_m + z_off])
     else:
-        if np.linalg.matrix_rank(lhs, tol=rank_tol) < 3:
+        if anchors.reduced_rank < 3:
             raise DegenerateGeometryError(
                 "anchor geometry does not determine a 3D position")
         sol, *_ = np.linalg.lstsq(lhs, rhs.T, rcond=None)
@@ -167,9 +182,15 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     return estimate
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1), same arithmetic, less call overhead."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _range_residuals(anchor_pos: np.ndarray, d: np.ndarray,
                      p: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(p[:, None, :] - anchor_pos[None, :, :], axis=2) - d
+    """Residuals (..., 4) of positions p (..., 3) against ranges d."""
+    return _norm(p[..., None, :] - anchor_pos) - d
 
 
 def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
@@ -178,52 +199,51 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
 
     Plain Gauss-Newton can diverge when a node sits near the anchor plane
     (ill-conditioned Jacobian); each step is only accepted if it reduces
-    the residual norm, and the step is halved otherwise.
+    the residual norm, and the step is halved otherwise.  Rows the full
+    step does not improve try all halved scales in one batch and take the
+    first that lowers the cost; a row that finds none stops.
     """
     p = p0.copy()
     res = _range_residuals(anchor_pos, d, p)
-    cost = np.sum(res ** 2, axis=1)
-    active = np.ones(p.shape[0], dtype=bool)
+    active = np.arange(p.shape[0])
     for _ in range(_GN_MAX_ITERATIONS):
-        if not np.any(active):
+        if active.size == 0:
             break
         pa = p[active]
         ra = res[active]
         diff = pa[:, None, :] - anchor_pos[None, :, :]
-        ranges = np.linalg.norm(diff, axis=2)
-        jac = diff / np.maximum(ranges[:, :, None], 1e-18)
+        jac = diff / np.maximum(_norm(diff)[:, :, None], 1e-18)
         # Damped normal equations; the damping keeps the solve regular for
         # the rank-deficient Jacobian of points on the anchor plane while
         # staying far below the 1e-9 m step tolerance.
         jt = np.swapaxes(jac, 1, 2)
-        hess = jt @ jac + 1e-9 * np.eye(3)
+        hess = jt @ jac + _GN_DAMPING
         grad = (jt @ ra[:, :, None])
         step = -np.linalg.solve(hess, grad)[:, :, 0]
-        scale = np.ones(len(pa))
-        accepted = np.zeros(len(pa), dtype=bool)
-        trial_p = pa.copy()
-        trial_res = ra.copy()
-        trial_cost = cost[active].copy()
-        for _ in range(_GN_MAX_BACKTRACKS):
-            pending = ~accepted
-            if not np.any(pending):
-                break
-            candidate = pa[pending] + scale[pending, None] * step[pending]
-            cand_res = _range_residuals(anchor_pos, d[active][pending], candidate)
-            cand_cost = np.sum(cand_res ** 2, axis=1)
-            better = cand_cost < trial_cost[pending]
-            idx = np.flatnonzero(pending)[better]
-            trial_p[idx] = candidate[better]
-            trial_res[idx] = cand_res[better]
-            trial_cost[idx] = cand_cost[better]
-            accepted[idx] = True
-            scale[np.flatnonzero(pending)[~better]] *= 0.5
-        moved = np.linalg.norm(trial_p - pa, axis=1)
-        p[active] = trial_p
-        res[active] = trial_res
-        cost[active] = trial_cost
-        still = accepted & (moved >= _GN_STEP_TOL_M)
-        next_active = active.copy()
-        next_active[active] = still
-        active = next_active
+
+        da = d[active]
+        cost = np.add.reduce(ra * ra, axis=-1)
+        trial_p = pa + step
+        trial_res = _range_residuals(anchor_pos, da, trial_p)
+        accepted = np.add.reduce(trial_res * trial_res, axis=-1) < cost
+        rejected = np.flatnonzero(~accepted)
+        if rejected.size:
+            halved_p = (pa[rejected, None, :]
+                        + _GN_HALVED_SCALES[:, None] * step[rejected, None, :])
+            halved_res = _range_residuals(anchor_pos, da[rejected, None, :],
+                                          halved_p)
+            lower = (np.add.reduce(halved_res * halved_res, axis=-1)
+                     < cost[rejected, None])
+            found = lower.any(axis=1)
+            first = lower[found].argmax(axis=1)
+            rows = rejected[found]
+            trial_p[rows] = halved_p[found, first]
+            trial_res[rows] = halved_res[found, first]
+            accepted[rows] = True
+
+        moved = _norm(trial_p[accepted] - pa[accepted])
+        stepped = active[accepted]
+        p[stepped] = trial_p[accepted]
+        res[stepped] = trial_res[accepted]
+        active = stepped[moved >= _GN_STEP_TOL_M]
     return p

@@ -9,8 +9,9 @@ standard deviation equal to the link's raw resolution c / B.
 An exchange can fail because the node is out of energy or because the
 link is infeasible at the separation distance.  Energy is debited only
 for pulses actually received or emitted, in protocol order:
-operational gate -> inbound link -> reception debit -> transmission
-debit -> outbound link.  Controllers are energy-unconstrained.
+operational gate -> link -> reception debit -> transmission debit.
+Both directions share one link budget, so the inbound check covers the
+reply.  Controllers are energy-unconstrained.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ def exchange(true_distance_m: float, channel: ChannelParams,
         # reception energy stays spent.
         return fail(FAILURE_NODE_DEPLETED), state
     state = consume(state, radio.energy_tx_pulse_pj, harvester)
-    # Same transmit power in both directions, so with a symmetric budget
-    # this check mirrors the inbound one; the emitted pulse is paid for
-    # either way.
-    if not received_power(channel, true_distance_m).received:
-        return fail(FAILURE_LINK_INFEASIBLE), state
 
     sigma = raw_resolution(channel.bandwidth_hz)
     estimate = true_distance_m + sigma * rng.standard_normal()

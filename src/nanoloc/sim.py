@@ -24,12 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from nanoloc.channel import (DB_PER_NEPER, SPEED_OF_LIGHT_M_S, ChannelParams,
-                             absorption_coefficient, raw_resolution)
-from nanoloc.energy import EnergyState, HarvesterParams, harvest_batch
+from nanoloc.channel import ChannelParams, raw_resolution, received_power_batch
+from nanoloc.energy import HarvesterParams, harvest_batch
 from nanoloc.locate import AnchorSet, trilaterate_batch
-from nanoloc.ranging import (FAILURE_LINK_INFEASIBLE, FAILURE_NODE_DEPLETED,
-                             RadioParams)
+from nanoloc.ranging import RadioParams
 
 # Substream tags under the master seed.
 _TOPOLOGY_STREAM = 0
@@ -39,12 +37,6 @@ _ITERATION_STREAM = 1
 SUCCESS = 0
 CODE_NODE_DEPLETED = 1
 CODE_LINK_INFEASIBLE = 2
-
-FAILURE_CODE_NAMES = {
-    SUCCESS: None,
-    CODE_NODE_DEPLETED: FAILURE_NODE_DEPLETED,
-    CODE_LINK_INFEASIBLE: FAILURE_LINK_INFEASIBLE,
-}
 
 Seed = int | tuple[int, ...]
 
@@ -145,6 +137,8 @@ class Topology:
     spacing_m: float
     controller_positions: np.ndarray      # (4, 3)
     node_true_positions: np.ndarray       # (n, 3)
+    _anchor_set: AnchorSet | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def edge_length_m(self) -> float:
@@ -155,7 +149,10 @@ class Topology:
         return self.node_true_positions.shape[0]
 
     def anchors(self) -> AnchorSet:
-        return AnchorSet(positions=self.controller_positions)
+        """The controllers as an AnchorSet, built on first use."""
+        if self._anchor_set is None:
+            self._anchor_set = AnchorSet(positions=self.controller_positions)
+        return self._anchor_set
 
 
 def build_topology(config: SimConfig) -> Topology:
@@ -188,11 +185,6 @@ class WorldState:
     energy_pj: np.ndarray        # (n,) float64
     operational: np.ndarray      # (n,) bool
     iteration: int = 0
-
-    def node_state(self, index: int) -> EnergyState:
-        """Scalar view of one node, for interop with the energy module."""
-        return EnergyState(float(self.energy_pj[index]),
-                           bool(self.operational[index]))
 
 
 def initial_world(config: SimConfig, topology: Topology | None = None) -> WorldState:
@@ -261,13 +253,8 @@ def run_iteration(state: WorldState, config: SimConfig,
         positions[:, None, :] - controllers[None, :, :], axis=2)
 
     # Link feasibility, computed once per iteration (same budget in both
-    # directions of an exchange).
-    k_per_m = absorption_coefficient(chan.frequency_hz, chan.absorption_table)
-    spreading_db = 20.0 * np.log10(
-        4.0 * math.pi * chan.frequency_hz * distances / SPEED_OF_LIGHT_M_S)
-    rx_dbm = (chan.transmit_power_dbm - spreading_db
-              - k_per_m * distances * DB_PER_NEPER)
-    feasible = rx_dbm >= chan.receiver_sensitivity_dbm
+    # directions of an exchange, so one inbound check covers the round).
+    _, feasible = received_power_batch(chan, distances)
 
     sigma = raw_resolution(chan.bandwidth_hz)
     rx_cost = radio.energy_rx_pulse_pj
@@ -295,12 +282,11 @@ def run_iteration(state: WorldState, config: SimConfig,
         code = failure_code[span]
 
         measured = np.zeros((m, 4))
-        successes_so_far = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
         for c in range(4):
-            # Protocol order per exchange: operational gate, inbound link,
-            # reception debit, transmission debit, outbound link.  The
-            # threshold semantics mirror energy.consume / can_afford.
+            # Protocol order per exchange: operational gate, link,
+            # reception debit, transmission debit.  The threshold
+            # semantics mirror energy.consume / can_afford.
             blocked = active & ~op
             code[blocked] = CODE_NODE_DEPLETED
             active &= op
@@ -321,14 +307,9 @@ def run_iteration(state: WorldState, config: SimConfig,
             e[active] -= tx_cost
             op[active & (e < t_off)] = False
 
-            blocked = active & ~feas[:, c]
-            code[blocked] = CODE_LINK_INFEASIBLE
-            active &= feas[:, c]
-
-            # One noise draw per successful exchange, consumed in order.
-            measured[active, c] = (dist[active, c]
-                                   + sigma * z[active, successes_so_far[active]])
-            successes_so_far[active] += 1
+            # One noise draw per successful exchange, consumed in order: a
+            # node still active here succeeded at all c earlier exchanges.
+            measured[active, c] = dist[active, c] + sigma * z[active, c]
 
         success[span] = active
         if np.any(active):

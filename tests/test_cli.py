@@ -224,6 +224,12 @@ class TestEmitResults:
         with pytest.raises(OSError):
             emit_results(self.rows(), "/nonexistent-dir/results.csv", "csv")
 
+    def test_parse_empty_results_file(self, tmp_path):
+        empty = tmp_path / "results.csv"
+        empty.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty results file"):
+            parse_result_csv(empty)
+
     def test_summary_contains_all_rows(self):
         rows = self.rows()
         summary = format_summary(rows)
@@ -303,6 +309,15 @@ class TestMain:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_integer_is_an_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text('{"iterations": %s}' % text, encoding="utf-8")
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: config key 'iterations'")
+
 
 class TestConfigMapping:
     def test_mapping_does_not_require_file(self):
@@ -313,6 +328,10 @@ class TestConfigMapping:
     def test_float_for_int_key_rejected(self):
         with pytest.raises(ConfigurationError, match="grid_rows"):
             config_from_mapping({"grid_rows": 12.5})
+
+    def test_infinite_int_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="iterations"):
+            config_from_mapping({"iterations": math.inf})
 
     def test_bool_for_number_rejected(self):
         with pytest.raises(ConfigurationError, match="spacing_m"):

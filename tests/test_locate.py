@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from nanoloc import locate
+from nanoloc.channel import raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError, LocationEstimate,
                             localization_error, trilaterate, trilaterate_batch)
+from nanoloc.sim import build_topology, default_config
 
 L = 21.6e-3
 CORNERS = AnchorSet(positions=np.array([
@@ -159,6 +162,108 @@ class TestNoisyInput:
         for i in range(64):
             single = trilaterate(CORNERS, dmat[i])
             assert np.linalg.norm(batch[i] - single.position_m) < 1e-12
+
+
+def _reference_range_residuals(anchor_pos, d, p):
+    return np.linalg.norm(p[:, None, :] - anchor_pos[None, :, :], axis=2) - d
+
+
+def _reference_gauss_newton_batch(anchor_pos, d, p0):
+    """The step-halving refinement as first written: one backtracking
+    round of numpy calls per halving.  The batched line search must give
+    the same bits."""
+    p = p0.copy()
+    res = _reference_range_residuals(anchor_pos, d, p)
+    cost = np.sum(res ** 2, axis=1)
+    active = np.ones(p.shape[0], dtype=bool)
+    for _ in range(20):
+        if not np.any(active):
+            break
+        pa = p[active]
+        ra = res[active]
+        diff = pa[:, None, :] - anchor_pos[None, :, :]
+        ranges = np.linalg.norm(diff, axis=2)
+        jac = diff / np.maximum(ranges[:, :, None], 1e-18)
+        jt = np.swapaxes(jac, 1, 2)
+        hess = jt @ jac + 1e-9 * np.eye(3)
+        grad = (jt @ ra[:, :, None])
+        step = -np.linalg.solve(hess, grad)[:, :, 0]
+        scale = np.ones(len(pa))
+        accepted = np.zeros(len(pa), dtype=bool)
+        trial_p = pa.copy()
+        trial_res = ra.copy()
+        trial_cost = cost[active].copy()
+        for _ in range(8):
+            pending = ~accepted
+            if not np.any(pending):
+                break
+            candidate = pa[pending] + scale[pending, None] * step[pending]
+            cand_res = _reference_range_residuals(
+                anchor_pos, d[active][pending], candidate)
+            cand_cost = np.sum(cand_res ** 2, axis=1)
+            better = cand_cost < trial_cost[pending]
+            idx = np.flatnonzero(pending)[better]
+            trial_p[idx] = candidate[better]
+            trial_res[idx] = cand_res[better]
+            trial_cost[idx] = cand_cost[better]
+            accepted[idx] = True
+            scale[np.flatnonzero(pending)[~better]] *= 0.5
+        moved = np.linalg.norm(trial_p - pa, axis=1)
+        p[active] = trial_p
+        res[active] = trial_res
+        cost[active] = trial_cost
+        still = accepted & (moved >= 1e-9)
+        next_active = active.copy()
+        next_active[active] = still
+        active = next_active
+    return p
+
+
+def _bit_exact_corpus():
+    """(anchors, distances) cases covering every line-search path."""
+    topology = build_topology(default_config())
+    anchors = topology.anchors()
+    pos = anchors.positions
+    d = topology.edge_length_m
+    rng = np.random.default_rng(28)
+
+    def ranges(points):
+        return np.linalg.norm(points[:, None, :] - pos[None, :, :], axis=2)
+
+    nodes = ranges(topology.node_true_positions)
+    near_plane = rng.uniform([0, 0, 0], [d, d, 1e-6], size=(200, 3))
+    clamped = ranges(rng.uniform([0, 0, 0], [d, d, d / 2], size=(100, 3)))
+    clamped[::3, 0] = -rng.uniform(0.0, 1e-3, size=clamped[::3].shape[0])
+    clamped[1::3, 1:3] = -1e-4
+    cases = [
+        # Exact ranges: the full step and every halving fail to lower the
+        # cost once the estimate is converged.
+        pytest.param(anchors, nodes, id="exact"),
+        pytest.param(anchors, ranges(near_plane), id="near_plane_exact"),
+        pytest.param(anchors, ranges(np.vstack([pos, pos + 1e-7])),
+                     id="on_anchor"),
+        pytest.param(anchors, clamped, id="clamped_negative"),
+    ]
+    for bandwidth in (1e12, 1e11):
+        sigma = raw_resolution(bandwidth)
+        cases.append(pytest.param(
+            anchors, nodes + sigma * rng.standard_normal(nodes.shape),
+            id=f"nodes_bw{bandwidth:g}"))
+        cases.append(pytest.param(
+            anchors, ranges(near_plane) + sigma * rng.standard_normal((200, 4)),
+            id=f"near_plane_bw{bandwidth:g}"))
+    return cases
+
+
+class TestRefinementBitExact:
+    @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
+    def test_matches_step_halving_reference(self, monkeypatch, anchors,
+                                            distances):
+        actual = trilaterate_batch(anchors, distances)
+        monkeypatch.setattr(locate, "_gauss_newton_batch",
+                            _reference_gauss_newton_batch)
+        expected = trilaterate_batch(anchors, distances)
+        assert np.array_equal(actual, expected)
 
 
 class TestLocalizationError:
