@@ -5,8 +5,8 @@ from nanoloc.channel import (ChannelParams, LinkBudgetResult, SPEED_OF_LIGHT_M_S
                              absorption_coefficient, load_absorption_table,
                              raw_resolution, received_power)
 from nanoloc.energy import (EnergySaturationError, EnergyState, HarvesterParams,
-                            can_afford, capacitance, consume, cycle_index,
-                            energy_at_cycle, harvest)
+                            can_afford, consume, cycle_index, energy_at_cycle,
+                            harvest)
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError, LocationEstimate,
                             localization_error, trilaterate)
 from nanoloc.ranging import (FAILURE_LINK_INFEASIBLE, FAILURE_NODE_DEPLETED,
@@ -16,23 +16,19 @@ from nanoloc.sim import (SimConfig, Topology, TrialReport, WorldState,
                          build_topology, default_config, initial_world,
                          run_iteration, run_simulation, default_channel,
                          default_harvester, default_radio)
-from nanoloc.cli import (ConfigurationError, ResultRow, SweepSpec, emit_results,
-                         load_config, load_sweep, run_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "ChannelParams", "ConfigurationError",
-    "DegenerateGeometryError", "EnergySaturationError", "EnergyState",
-    "FAILURE_LINK_INFEASIBLE", "FAILURE_NODE_DEPLETED", "HarvesterParams",
-    "LinkBudgetResult", "LocationEstimate", "RadioParams", "RangeMeasurement",
-    "RangeMeasurementSet", "ResultRow", "SPEED_OF_LIGHT_M_S", "SimConfig",
-    "SweepSpec", "Topology", "TrialReport", "WorldState",
-    "absorption_coefficient", "build_topology", "can_afford", "capacitance",
-    "consume", "cycle_index", "default_config", "emit_results",
+    "AnchorSet", "ChannelParams", "DegenerateGeometryError",
+    "EnergySaturationError", "EnergyState", "FAILURE_LINK_INFEASIBLE",
+    "FAILURE_NODE_DEPLETED", "HarvesterParams", "LinkBudgetResult",
+    "LocationEstimate", "RadioParams", "RangeMeasurement",
+    "RangeMeasurementSet", "SPEED_OF_LIGHT_M_S", "SimConfig", "Topology",
+    "TrialReport", "WorldState", "absorption_coefficient", "build_topology",
+    "can_afford", "consume", "cycle_index", "default_config",
     "energy_at_cycle", "exchange", "harvest", "initial_world",
-    "load_absorption_table", "load_config", "load_sweep",
-    "localization_error", "measure_all", "raw_resolution", "received_power",
-    "run_iteration", "run_simulation", "run_sweep", "default_channel",
-    "default_harvester", "default_radio", "trilaterate",
+    "load_absorption_table", "localization_error", "measure_all",
+    "raw_resolution", "received_power", "run_iteration", "run_simulation",
+    "default_channel", "default_harvester", "default_radio", "trilaterate",
 ]

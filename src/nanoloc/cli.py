@@ -15,57 +15,60 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from nanoloc.channel import ChannelParams, load_absorption_table
-from nanoloc.energy import HarvesterParams
-from nanoloc.ranging import RadioParams
+from nanoloc.channel import load_absorption_table
 from nanoloc.sim import SimConfig, TrialReport, run_simulation
 
 RESULT_FIELDS = ("parameter_name", "parameter_value", "seed", "mean_error_m",
                  "p90_error_m", "availability", "attempts", "successes")
 
-SWEEPABLE_PARAMETERS = ("frequency_hz", "charge_per_cycle_pc",
-                        "update_period_s", "bandwidth_hz", "spacing_m",
-                        "sensitivity_dbm")
+# Sweep name -> (nested config holding the field, or None, field name).
+_SWEPT_FIELDS: dict[str, tuple[str | None, str]] = {
+    "frequency_hz": ("channel", "frequency_hz"),
+    "charge_per_cycle_pc": ("harvester", "charge_per_cycle_pc"),
+    "update_period_s": (None, "update_period_s"),
+    "bandwidth_hz": ("channel", "bandwidth_hz"),
+    "spacing_m": (None, "spacing_m"),
+    "sensitivity_dbm": ("channel", "receiver_sensitivity_dbm"),
+}
+SWEEPABLE_PARAMETERS = tuple(_SWEPT_FIELDS)
 
+_DEFAULT_CONFIG = SimConfig()
+# Field names of each nested parameter object of SimConfig.  Each is a
+# flat config key, except the channel's absorption table, which a config
+# gives as a path (absorption_table_path).
+_NESTED_FIELDS: dict[str, tuple[str, ...]] = {
+    f.name: tuple(g.name for g in dataclasses.fields(getattr(_DEFAULT_CONFIG, f.name)))
+    for f in dataclasses.fields(SimConfig)
+    if dataclasses.is_dataclass(getattr(_DEFAULT_CONFIG, f.name))
+}
 CONFIG_DEFAULTS: dict[str, Any] = {
-    "grid_rows": 25,
-    "grid_cols": 25,
-    "spacing_m": 0.9e-3,
-    "generator_voltage_v": 0.42,
-    "max_storage_pj": 800.0,
-    "charge_per_cycle_pc": 6.0,
-    "cycle_duration_s": 0.02,
-    "turn_off_threshold_pj": 10.0,
-    "turn_on_threshold_pj": 0.0,
-    "initial_energy_pj": None,
-    "transmit_power_dbm": -20.0,
-    "frequency_hz": 1e12,
-    "bandwidth_hz": 1e12,
-    "receiver_sensitivity_dbm": -100.0,
+    **{key: getattr(getattr(_DEFAULT_CONFIG, name), key)
+       for name, keys in _NESTED_FIELDS.items()
+       for key in keys if key != "absorption_table"},
     "absorption_table_path": None,
-    "energy_rx_pulse_pj": 0.1,
-    "energy_tx_pulse_pj": 1.0,
-    "packet_bits": 8,
-    "update_period_s": 0.1,
-    "iterations": 1000,
-    "rng_seed": 0,
-    "mobility_resample": False,
-    "workers": 1,
+    **{f.name: getattr(_DEFAULT_CONFIG, f.name)
+       for f in dataclasses.fields(SimConfig) if f.name not in _NESTED_FIELDS},
 }
 
-_INT_KEYS = ("grid_rows", "grid_cols", "packet_bits", "iterations",
-             "rng_seed", "workers")
-_BOOL_KEYS = ("mobility_resample",)
+# A key's value type is its default's type; None defaults are handled apart.
+_INT_KEYS = tuple(k for k, v in CONFIG_DEFAULTS.items() if type(v) is int)
+_BOOL_KEYS = tuple(k for k, v in CONFIG_DEFAULTS.items() if type(v) is bool)
 _STRING_KEYS = ("absorption_table_path",)
 
 
 class ConfigurationError(ValueError):
     """Invalid or unreadable configuration input."""
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _coerce(key: str, value: Any) -> Any:
@@ -79,7 +82,7 @@ def _coerce(key: str, value: Any) -> Any:
         return value
     if key == "initial_energy_pj" and value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigurationError(f"config key '{key}' must be a number")
     if key in _INT_KEYS:
         if not math.isfinite(value) or int(value) != value:
@@ -103,52 +106,22 @@ def config_from_mapping(mapping: Mapping[str, Any],
         values[key] = _coerce(key, raw)
 
     table_path = values.pop("absorption_table_path")
-    table_kwargs = {}
     if table_path is not None:
         path = Path(table_path)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
-            table_kwargs["absorption_table"] = load_absorption_table(path)
+            values["absorption_table"] = load_absorption_table(path)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(
                 f"config key 'absorption_table_path': {exc}") from exc
 
     try:
-        harvester = HarvesterParams(
-            generator_voltage_v=values["generator_voltage_v"],
-            max_storage_pj=values["max_storage_pj"],
-            charge_per_cycle_pc=values["charge_per_cycle_pc"],
-            cycle_duration_s=values["cycle_duration_s"],
-            turn_off_threshold_pj=values["turn_off_threshold_pj"],
-            turn_on_threshold_pj=values["turn_on_threshold_pj"],
-        )
-        channel = ChannelParams(
-            transmit_power_dbm=values["transmit_power_dbm"],
-            frequency_hz=values["frequency_hz"],
-            bandwidth_hz=values["bandwidth_hz"],
-            receiver_sensitivity_dbm=values["receiver_sensitivity_dbm"],
-            **table_kwargs,
-        )
-        radio = RadioParams(
-            energy_rx_pulse_pj=values["energy_rx_pulse_pj"],
-            energy_tx_pulse_pj=values["energy_tx_pulse_pj"],
-            packet_bits=values["packet_bits"],
-        )
-        return SimConfig(
-            harvester=harvester,
-            channel=channel,
-            radio=radio,
-            grid_rows=values["grid_rows"],
-            grid_cols=values["grid_cols"],
-            spacing_m=values["spacing_m"],
-            update_period_s=values["update_period_s"],
-            iterations=values["iterations"],
-            rng_seed=values["rng_seed"],
-            initial_energy_pj=values["initial_energy_pj"],
-            mobility_resample=values["mobility_resample"],
-            workers=values["workers"],
-        )
+        nested = {}
+        for name, keys in _NESTED_FIELDS.items():
+            params = {key: values.pop(key) for key in keys if key in values}
+            nested[name] = type(getattr(_DEFAULT_CONFIG, name))(**params)
+        return SimConfig(**nested, **values)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -188,7 +161,8 @@ class SweepSpec:
             raise ConfigurationError("sweep values must be sorted ascending")
         if len(self.seeds) == 0:
             raise ConfigurationError("sweep seeds must not be empty")
-        if not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                   for s in self.seeds):
             raise ConfigurationError("sweep seeds must be non-negative integers")
 
 
@@ -212,35 +186,23 @@ def load_sweep(path: str | Path) -> SweepSpec:
     seeds = data.get("seeds", [0])
     if not isinstance(values, list) or not isinstance(seeds, list):
         raise ConfigurationError(f"{path}: 'values' and 'seeds' must be arrays")
-    try:
-        numeric = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{path}: sweep values must be numbers") from None
+    if not all(_is_number(v) for v in values):
+        raise ConfigurationError(f"{path}: sweep values must be numbers")
     return SweepSpec(parameter_name=str(data["parameter"]),
-                     values=numeric, seeds=tuple(seeds))
+                     values=tuple(float(v) for v in values),
+                     seeds=tuple(seeds))
 
 
 def apply_swept_parameter(config: SimConfig, name: str, value: float) -> SimConfig:
     """Clone config with one swept parameter replaced."""
-    if name == "frequency_hz":
-        return dataclasses.replace(
-            config, channel=dataclasses.replace(config.channel, frequency_hz=value))
-    if name == "bandwidth_hz":
-        return dataclasses.replace(
-            config, channel=dataclasses.replace(config.channel, bandwidth_hz=value))
-    if name == "sensitivity_dbm":
-        return dataclasses.replace(
-            config, channel=dataclasses.replace(
-                config.channel, receiver_sensitivity_dbm=value))
-    if name == "charge_per_cycle_pc":
-        return dataclasses.replace(
-            config, harvester=dataclasses.replace(
-                config.harvester, charge_per_cycle_pc=value))
-    if name == "update_period_s":
-        return dataclasses.replace(config, update_period_s=value)
-    if name == "spacing_m":
-        return dataclasses.replace(config, spacing_m=value)
-    raise ConfigurationError(f"unknown sweep parameter '{name}'")
+    try:
+        section, field_name = _SWEPT_FIELDS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown sweep parameter '{name}'") from None
+    if section is None:
+        return dataclasses.replace(config, **{field_name: value})
+    nested = dataclasses.replace(getattr(config, section), **{field_name: value})
+    return dataclasses.replace(config, **{section: nested})
 
 
 @dataclass(frozen=True)
@@ -282,25 +244,48 @@ def sweep_point_seed(master_seed: int | tuple[int, ...], parameter_index: int,
     return master + (parameter_index, seed)
 
 
+def _run_point(config: SimConfig, name: str, value: float,
+               seed: int) -> ResultRow:
+    """Run one prepared sweep point; module level, so a worker process
+    can run it under any start method."""
+    try:
+        report = run_simulation(config)
+    except Exception as exc:
+        raise ConfigurationError(
+            f"sweep point {name}={value!r} seed={seed} failed: {exc}") from exc
+    return ResultRow.from_report(name, value, seed, report)
+
+
 def run_sweep(config: SimConfig, sweep: SweepSpec) -> list[ResultRow]:
     """Run the simulation at every (value, seed) pair of the sweep.
 
-    Rows come back sorted by (value, seed) regardless of execution order.
+    Points run in a pool of min(workers, points, cores) processes, or in
+    this process when that is 1.  Every point derives its own seed, so the
+    rows do not depend on the pool size; they come back sorted by
+    (value, seed).
     """
-    rows = []
+    tasks = []
     for index, value in enumerate(sweep.values):
         for seed in sweep.seeds:
             point = apply_swept_parameter(config, sweep.parameter_name, value)
             point = dataclasses.replace(
                 point, rng_seed=sweep_point_seed(config.rng_seed, index, seed))
-            try:
-                report = run_simulation(point)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"sweep point {sweep.parameter_name}={value!r} "
-                    f"seed={seed} failed: {exc}") from exc
-            rows.append(ResultRow.from_report(
-                sweep.parameter_name, value, seed, report))
+            tasks.append((point, sweep.parameter_name, value, seed))
+
+    size = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if size == 1:
+        rows = [_run_point(*task) for task in tasks]
+    else:
+        # Imported here: the pool modules would add to every start-up.
+        # Spawned, not forked: a fork copies the parent's BLAS threads'
+        # locks in whatever state they are in.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+                max_workers=size,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(_run_point, *zip(*tasks)))
     rows.sort(key=lambda row: (row.parameter_value, row.seed))
     return rows
 

@@ -100,11 +100,6 @@ class EnergyState:
     operational: bool
 
 
-def capacitance(params: HarvesterParams) -> float:
-    """Storage capacitance in farads (inputs converted from pJ)."""
-    return params.capacitance_f
-
-
 def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
     """Harvesting cycle corresponding to a stored energy level.
 

@@ -11,14 +11,12 @@ the fraction of (node, iteration) attempts that produce a position.
 
 The per-iteration engine is vectorized across nodes.  All randomness for
 an iteration is pre-generated node-major from a per-iteration substream,
-so results are bit-identical regardless of how many worker threads are
-used.
+so a run is a pure function of its config.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -94,6 +92,7 @@ class SimConfig:
     # None starts every node at full storage.
     initial_energy_pj: float | None = None
     mobility_resample: bool = False
+    # Processes for the points of a sweep (cli.run_sweep); one run is serial.
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -212,11 +211,6 @@ class IterationResult:
         return int(np.count_nonzero(self.success))
 
 
-def _node_chunks(n: int, workers: int) -> list[slice]:
-    bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
 def run_iteration(state: WorldState, config: SimConfig,
                   rng: np.random.Generator) -> IterationResult:
     """One update period: localization, operational packet, harvesting.
@@ -263,79 +257,58 @@ def run_iteration(state: WorldState, config: SimConfig,
 
     energy = state.energy_pj
     operational = state.operational
-    success = np.zeros(n, dtype=bool)
     failure_code = np.zeros(n, dtype=np.int8)
     error_m = np.full(n, np.nan)
-    anchors = topo.anchors()
 
+    measured = np.zeros((n, 4))
+    active = np.ones(n, dtype=bool)
+    for c in range(4):
+        # Protocol order per exchange: operational gate, link, reception
+        # debit, transmission debit.  The threshold semantics mirror
+        # energy.consume / can_afford.
+        blocked = active & ~operational
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= operational
+
+        blocked = active & ~feasible[:, c]
+        failure_code[blocked] = CODE_LINK_INFEASIBLE
+        active &= feasible[:, c]
+
+        blocked = active & (energy < rx_cost)
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= energy >= rx_cost
+        energy[active] -= rx_cost
+        operational[active & (energy < t_off)] = False
+
+        blocked = active & (~operational | (energy < tx_cost))
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= operational & (energy >= tx_cost)
+        energy[active] -= tx_cost
+        operational[active & (energy < t_off)] = False
+
+        # One noise draw per successful exchange, consumed in order: a node
+        # still active here succeeded at all c earlier exchanges.
+        measured[active, c] = distances[active, c] + sigma * noise[active, c]
+
+    success = active
+    if np.any(success):
+        estimates = trilaterate_batch(
+            topo.anchors(), np.maximum(measured[success], 0.0))
+        error_m[success] = np.linalg.norm(
+            estimates - positions[success], axis=1)
+
+    # Operational phase: reception of one control packet from the nearest
+    # controller; silence for '0' bits costs nothing.
     nearest = np.argmin(distances, axis=1)
-    feasible_nearest = feasible[np.arange(n), nearest]
-    packet_ones = bits.sum(axis=1)
+    cost = bits.sum(axis=1) * rx_cost
+    receiving = (operational & (energy >= cost)
+                 & feasible[np.arange(n), nearest])
+    energy[receiving] -= cost[receiving]
+    operational[receiving & (energy < t_off)] = False
 
-    def process(span: slice) -> None:
-        e = energy[span]
-        op = operational[span]
-        feas = feasible[span]
-        dist = distances[span]
-        z = noise[span]
-        m = e.shape[0]
-        code = failure_code[span]
-
-        measured = np.zeros((m, 4))
-        active = np.ones(m, dtype=bool)
-        for c in range(4):
-            # Protocol order per exchange: operational gate, link,
-            # reception debit, transmission debit.  The threshold
-            # semantics mirror energy.consume / can_afford.
-            blocked = active & ~op
-            code[blocked] = CODE_NODE_DEPLETED
-            active &= op
-
-            blocked = active & ~feas[:, c]
-            code[blocked] = CODE_LINK_INFEASIBLE
-            active &= feas[:, c]
-
-            blocked = active & (e < rx_cost)
-            code[blocked] = CODE_NODE_DEPLETED
-            active &= e >= rx_cost
-            e[active] -= rx_cost
-            op[active & (e < t_off)] = False
-
-            blocked = active & (~op | (e < tx_cost))
-            code[blocked] = CODE_NODE_DEPLETED
-            active &= op & (e >= tx_cost)
-            e[active] -= tx_cost
-            op[active & (e < t_off)] = False
-
-            # One noise draw per successful exchange, consumed in order: a
-            # node still active here succeeded at all c earlier exchanges.
-            measured[active, c] = dist[active, c] + sigma * z[active, c]
-
-        success[span] = active
-        if np.any(active):
-            estimates = trilaterate_batch(
-                anchors, np.maximum(measured[active], 0.0))
-            truth = positions[span][active]
-            error_m[span][active] = np.linalg.norm(estimates - truth, axis=1)
-
-        # Operational phase: reception of one control packet from the
-        # nearest controller; silence for '0' bits costs nothing.
-        cost = packet_ones[span] * rx_cost
-        receiving = op & (e >= cost) & feasible_nearest[span]
-        e[receiving] -= cost[receiving]
-        op[receiving & (e < t_off)] = False
-
-        # Harvesting phase.
-        e_new, op_new = harvest_batch(e, op, config.update_period_s, harvester)
-        e[:] = e_new
-        op[:] = op_new
-
-    spans = _node_chunks(n, config.workers)
-    if len(spans) <= 1:
-        process(slice(0, n))
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(process, spans))
+    # Harvesting phase.
+    energy[:], operational[:] = harvest_batch(
+        energy, operational, config.update_period_s, harvester)
 
     state.iteration += 1
     return IterationResult(success=success, failure_code=failure_code,

@@ -1,12 +1,18 @@
 """CLI module: config loading, sweeps, emission, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nanoloc import cli
 from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, ConfigurationError,
                          ResultRow, SweepSpec, apply_swept_parameter,
                          config_from_mapping, emit_results, format_summary,
@@ -123,6 +129,20 @@ class TestLoadSweep:
         with pytest.raises(ConfigurationError, match="empty"):
             load_sweep(path)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"values": [True, "2e12"]}, "values"),
+        ({"values": ["2e12"]}, "values"),
+        ({"values": [1e11], "seeds": [True]}, "seeds"),
+        ({"values": [1e11], "seeds": [0, "1"]}, "seeds"),
+        ({"values": [1e11], "seeds": [1.5]}, "seeds"),
+    ])
+    def test_booleans_and_non_numbers_rejected(self, tmp_path, payload,
+                                               message):
+        path = write_json(tmp_path / "sweep.json",
+                          {"parameter": "bandwidth_hz", **payload})
+        with pytest.raises(ConfigurationError, match=message):
+            load_sweep(path)
+
 
 class TestApplySweptParameter:
     def test_each_parameter_lands(self):
@@ -139,6 +159,10 @@ class TestApplySweptParameter:
             config, "update_period_s", 0.22).update_period_s == 0.22
         assert apply_swept_parameter(
             config, "spacing_m", 3e-3).spacing_m == 3e-3
+
+    def test_unknown_parameter(self):
+        with pytest.raises(ConfigurationError, match="antenna_gain"):
+            apply_swept_parameter(default_config(), "antenna_gain", 1.0)
 
     def test_original_config_untouched(self):
         config = default_config()
@@ -183,6 +207,56 @@ class TestRunSweep:
         sweep = SweepSpec("update_period_s", (0.1, 0.2), (0,))
         rows = run_sweep(tiny_config(), sweep)
         assert rows[0].mean_error_m != rows[1].mean_error_m
+
+    def test_process_pool_rows_equal_serial_rows(self):
+        sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), (0, 1))
+        serial = run_sweep(tiny_config(workers=1), sweep)
+        pooled = run_sweep(tiny_config(workers=2), sweep)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("workers, seeds, expected", [
+        (10**6, (0, 1, 2), 3),    # clamped to the core count
+        (10**6, (0,), 2),         # clamped to the point count
+        (2, (0, 1, 2), 2),
+        (1, (0, 1, 2), None),     # serial: no pool
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, workers, seeds,
+                                  expected):
+        requested = []
+
+        class RecordingExecutor:
+            """Records the requested pool size and runs the tasks in
+            this process, so no process is started."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), seeds)
+        rows = run_sweep(tiny_config(workers=workers), sweep)
+        assert requested == ([] if expected is None else [expected])
+        assert rows == run_sweep(tiny_config(), sweep)
+
+    def test_failed_point_is_named(self, monkeypatch):
+        def fail(config):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        sweep = SweepSpec("spacing_m", (1e-3,), (4,))
+        with pytest.raises(ConfigurationError, match=(
+                r"sweep point spacing_m=0\.001 seed=4 failed: boom")):
+            run_sweep(tiny_config(), sweep)
 
 
 class TestEmitResults:
@@ -303,6 +377,15 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_boolean_sweep_seed_is_an_error(self, tmp_path, capsys):
+        config = self.config_path(tmp_path)
+        sweep = write_json(tmp_path / "sweep.json", {
+            "parameter": "bandwidth_hz", "values": [1e12], "seeds": [True]})
+        code = main(["sweep", "--config", str(config), "--sweep", str(sweep)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         config = self.config_path(tmp_path)
         code = main(["run", "--config", str(config), "--seed", "-3"])
@@ -317,6 +400,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: config key 'iterations'")
+
+
+class TestModuleEntryPoint:
+    def test_no_runpy_warning(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "nanoloc.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
 
 class TestConfigMapping:
@@ -336,6 +433,17 @@ class TestConfigMapping:
     def test_bool_for_number_rejected(self):
         with pytest.raises(ConfigurationError, match="spacing_m"):
             config_from_mapping({"spacing_m": True})
+
+    def test_config_keys_constant(self):
+        assert sorted(CONFIG_DEFAULTS) == sorted((
+            "grid_rows", "grid_cols", "spacing_m", "generator_voltage_v",
+            "max_storage_pj", "charge_per_cycle_pc", "cycle_duration_s",
+            "turn_off_threshold_pj", "turn_on_threshold_pj",
+            "initial_energy_pj", "transmit_power_dbm", "frequency_hz",
+            "bandwidth_hz", "receiver_sensitivity_dbm",
+            "absorption_table_path", "energy_rx_pulse_pj",
+            "energy_tx_pulse_pj", "packet_bits", "update_period_s",
+            "iterations", "rng_seed", "mobility_resample", "workers"))
 
     def test_result_fields_constant(self):
         assert RESULT_FIELDS == ("parameter_name", "parameter_value", "seed",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nanoloc.energy import (EnergySaturationError, EnergyState, HarvesterParams,
-                            can_afford, capacitance, consume, cycle_index,
-                            energy_at_cycle, harvest, harvest_batch)
+                            can_afford, consume, cycle_index, energy_at_cycle,
+                            harvest, harvest_batch)
 
 
 def default_params(**overrides):
@@ -29,8 +29,8 @@ PARAMS = default_params()
 class TestCapacitance:
     def test_default_value(self):
         # Oracle: 2 * 800e-12 / 0.42**2, evaluated independently.
-        assert capacitance(PARAMS) == pytest.approx(9.0702947845805e-09, rel=1e-12)
-        assert abs(capacitance(PARAMS) - 9.0703e-9) < 1e-13
+        assert PARAMS.capacitance_f == pytest.approx(9.0702947845805e-09, rel=1e-12)
+        assert abs(PARAMS.capacitance_f - 9.0703e-9) < 1e-13
 
     def test_algebraic_inverse(self):
         # Choosing E_max = C * V^2 / 2 must return exactly that C.
@@ -39,12 +39,12 @@ class TestCapacitance:
             params = default_params(generator_voltage_v=volts,
                                     max_storage_pj=e_max_pj,
                                     turn_off_threshold_pj=e_max_pj / 100)
-            assert capacitance(params) == pytest.approx(cap, rel=1e-12)
+            assert params.capacitance_f == pytest.approx(cap, rel=1e-12)
 
     def test_linear_in_storage(self):
         half = default_params(max_storage_pj=400.0)
-        assert capacitance(half) == pytest.approx(4.53514739229025e-09, rel=1e-12)
-        assert capacitance(half) == pytest.approx(capacitance(PARAMS) / 2, rel=1e-12)
+        assert half.capacitance_f == pytest.approx(4.53514739229025e-09, rel=1e-12)
+        assert half.capacitance_f == pytest.approx(PARAMS.capacitance_f / 2, rel=1e-12)
 
 
 class TestCycleIndex:
