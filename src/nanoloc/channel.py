@@ -19,7 +19,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -92,19 +91,27 @@ def absorption_coefficient(frequency_hz: float,
     return float(np.interp(frequency_hz, freqs, ks))
 
 
+def _link_budget(params: ChannelParams, d: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spreading_db, absorption_db, received_power_dbm) over distances d."""
+    if not np.all(d > 0):
+        raise ValueError("distances must be strictly positive")
+    k = absorption_coefficient(params.frequency_hz, params.absorption_table)
+    spreading_db = 20.0 * np.log10(
+        4.0 * math.pi * params.frequency_hz * d / SPEED_OF_LIGHT_M_S)
+    absorption_db = k * d * DB_PER_NEPER
+    return (spreading_db, absorption_db,
+            params.transmit_power_dbm - spreading_db - absorption_db)
+
+
 def received_power(params: ChannelParams, distance_m: float) -> LinkBudgetResult:
     """Link budget for one direction over distance_m.
 
     Reception is inclusive at the boundary: a signal exactly at the
     sensitivity counts as received.
     """
-    if not distance_m > 0:
-        raise ValueError("distance_m must be strictly positive")
-    k = absorption_coefficient(params.frequency_hz, params.absorption_table)
-    spreading_db = 20.0 * math.log10(
-        4.0 * math.pi * params.frequency_hz * distance_m / SPEED_OF_LIGHT_M_S)
-    absorption_db = k * distance_m * DB_PER_NEPER
-    rx_dbm = params.transmit_power_dbm - spreading_db - absorption_db
+    spreading_db, absorption_db, rx_dbm = (
+        float(v) for v in _link_budget(params, np.float64(distance_m)))
     return LinkBudgetResult(
         received_power_dbm=rx_dbm,
         spreading_loss_db=spreading_db,
@@ -116,17 +123,11 @@ def received_power(params: ChannelParams, distance_m: float) -> LinkBudgetResult
 def received_power_batch(params: ChannelParams,
                          distances_m: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of received_power over an array of distances.
+    """received_power over an array of distances.
 
     Returns (received_power_dbm, received) arrays of the input shape.
     """
-    d = np.asarray(distances_m, dtype=np.float64)
-    if np.any(d <= 0):
-        raise ValueError("distances must be strictly positive")
-    k = absorption_coefficient(params.frequency_hz, params.absorption_table)
-    spreading_db = 20.0 * np.log10(
-        4.0 * math.pi * params.frequency_hz * d / SPEED_OF_LIGHT_M_S)
-    rx_dbm = params.transmit_power_dbm - spreading_db - k * d * DB_PER_NEPER
+    _, _, rx_dbm = _link_budget(params, np.asarray(distances_m, dtype=np.float64))
     return rx_dbm, rx_dbm >= params.receiver_sensitivity_dbm
 
 

@@ -100,8 +100,9 @@ class EnergyState:
     operational: bool
 
 
-def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
-    """Harvesting cycle corresponding to a stored energy level.
+def _cycle_positions(energy_pj: np.ndarray,
+                     params: HarvesterParams) -> np.ndarray:
+    """Cycle index of each energy level below max_storage_pj, as floats.
 
     Inverts the charging curve:
 
@@ -110,17 +111,23 @@ def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
     Positions within float roundoff of a whole cycle snap to it, so this
     is an exact inverse of energy_at_cycle on the curve's own values.
     """
+    x = (-np.log(1.0 - np.sqrt(np.maximum(energy_pj, 0.0)
+                               / params.max_storage_pj))
+         / params.cycle_exponent)
+    nearest = np.rint(x)
+    snap = np.abs(x - nearest) <= _INDEX_SNAP_REL * np.maximum(1.0, np.abs(x))
+    return np.maximum(np.where(snap, nearest, np.ceil(x)), 0.0)
+
+
+def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
+    """Harvesting cycle corresponding to a stored energy level (the
+    inverse of energy_at_cycle, see _cycle_positions)."""
     if energy_pj < 0:
         raise ValueError("energy_pj must be non-negative")
     if energy_pj >= params.max_storage_pj:
         raise EnergySaturationError(
             "cycle index diverges at or above max_storage_pj")
-    x = (-math.log(1.0 - math.sqrt(energy_pj / params.max_storage_pj))
-         / params.cycle_exponent)
-    nearest = round(x)
-    if abs(x - nearest) <= _INDEX_SNAP_REL * max(1.0, abs(x)):
-        return max(int(nearest), 0)
-    return max(math.ceil(x), 0)
+    return int(_cycle_positions(np.float64(energy_pj), params))
 
 
 def energy_at_cycle(n_cycle: int, params: HarvesterParams) -> float:
@@ -142,21 +149,12 @@ def harvest(state: EnergyState, elapsed_s: float,
     Fractional cycle remainders are discarded.  Harvesting applies whether
     or not the node is operational; the flag turns back on once the energy
     reaches the effective turn-on threshold.  Zero whole cycles leave the
-    state unchanged.
+    state unchanged.  A one-node harvest_batch.
     """
-    if elapsed_s < 0:
-        raise ValueError("elapsed_s must be >= 0")
-    cycles = int(math.floor(elapsed_s / params.cycle_duration_s
-                            + _CYCLE_COUNT_EPS))
-    if cycles == 0:
-        return state
-    if state.energy_pj >= params.max_storage_pj:
-        energy = params.max_storage_pj
-    else:
-        n = cycle_index(state.energy_pj, params) + cycles
-        energy = min(energy_at_cycle(n, params), params.max_storage_pj)
-    operational = state.operational or energy >= params.effective_turn_on_pj
-    return EnergyState(energy, operational)
+    energy, operational = harvest_batch(np.array([state.energy_pj]),
+                                        np.array([state.operational]),
+                                        elapsed_s, params)
+    return EnergyState(float(energy[0]), bool(operational[0]))
 
 
 def consume(state: EnergyState, amount_pj: float,
@@ -187,11 +185,9 @@ def can_afford(state: EnergyState, amount_pj: float) -> bool:
 def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
                   elapsed_s: float, params: HarvesterParams
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of harvest() over node arrays.
+    """harvest() over node arrays.
 
     Returns new (energy, operational) arrays; inputs are not modified.
-    Matches the scalar semantics per element (up to float ulp differences
-    between libm and numpy transcendentals).
     """
     if elapsed_s < 0:
         raise ValueError("elapsed_s must be >= 0")
@@ -202,17 +198,11 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     if cycles == 0:
         return energy.copy(), operational.copy()
     e_max = params.max_storage_pj
-    rate = params.cycle_exponent
     out = np.full_like(energy, e_max)
     charging = energy < e_max
     if np.any(charging):
-        e = energy[charging]
-        x = -np.log(1.0 - np.sqrt(np.maximum(e, 0.0) / e_max)) / rate
-        nearest = np.rint(x)
-        snap = np.abs(x - nearest) <= _INDEX_SNAP_REL * np.maximum(1.0, np.abs(x))
-        n = np.where(snap, nearest, np.ceil(x))
-        n = np.maximum(n, 0.0) + cycles
-        charged = 1.0 - np.exp(-rate * n)
+        n = _cycle_positions(energy[charging], params) + cycles
+        charged = 1.0 - np.exp(-params.cycle_exponent * n)
         out[charging] = np.minimum(e_max * charged * charged, e_max)
     turned_on = operational | (out >= params.effective_turn_on_pj)
     return out, turned_on

@@ -1,4 +1,4 @@
-"""Two-way time-of-flight ranging between controllers and one nanonode.
+"""Two-way time-of-flight ranging between controllers and nanonodes.
 
 One exchange: a controller transmits a pulse; the node receives it
 (spending reception energy), retransmits it (spending transmission
@@ -6,27 +6,40 @@ energy), and the controller derives the distance from the round-trip
 time.  The resulting estimate carries zero-mean Gaussian noise with
 standard deviation equal to the link's raw resolution c / B.
 
-An exchange can fail because the node is out of energy or because the
-link is infeasible at the separation distance.  Energy is debited only
-for pulses actually received or emitted, in protocol order:
-operational gate -> link -> reception debit -> transmission debit.
-Both directions share one link budget, so the inbound check covers the
-reply.  Controllers are energy-unconstrained.
+A node's round is one exchange per controller, in controller order.  An
+exchange can fail because the node is out of energy or because the link
+is infeasible at the separation distance.  The round ends at the node's
+first failed exchange: later exchanges are not attempted and cost
+nothing.  Energy is debited only for pulses actually received or
+emitted, in protocol order: operational gate -> link -> reception debit
+-> transmission debit.  Both directions share one link budget, so the
+inbound check covers the reply.  Controllers are energy-unconstrained.
+
+measure_batch runs the rounds of many nodes at once and is the only
+implementation of the protocol; exchange and measure_all run it for one
+node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from nanoloc.channel import ChannelParams, raw_resolution, received_power
-from nanoloc.energy import EnergyState, HarvesterParams, can_afford, consume
+from nanoloc.channel import ChannelParams, raw_resolution, received_power_batch
+from nanoloc.energy import EnergyState, HarvesterParams
 
 FAILURE_NODE_DEPLETED = "node_energy_depleted"
 FAILURE_LINK_INFEASIBLE = "link_infeasible"
+
+# Per-node outcome codes of measure_batch.
+SUCCESS = 0
+CODE_NODE_DEPLETED = 1
+CODE_LINK_INFEASIBLE = 2
+_FAILURE_REASONS = {CODE_NODE_DEPLETED: FAILURE_NODE_DEPLETED,
+                    CODE_LINK_INFEASIBLE: FAILURE_LINK_INFEASIBLE}
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,76 @@ class RangeMeasurementSet:
                          if m.succeeded], dtype=np.float64)
 
 
+def measure_batch(distances_m: np.ndarray, feasible: np.ndarray,
+                  noise: np.ndarray, energy_pj: np.ndarray,
+                  operational: np.ndarray, channel: ChannelParams,
+                  radio: RadioParams, harvester: HarvesterParams
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One ranging round for each of n nodes against m controllers.
+
+    distances_m, feasible (the link budget's verdict, from
+    channel.received_power_batch) and noise (standard-normal draws) have
+    shape (n, m).  energy_pj and operational, shape (n,), are debited in
+    place.  Returns (measured, failure_code): measured holds the estimate
+    d + (c / B) * noise of every exchange that succeeded and NaN
+    elsewhere; failure_code is SUCCESS where all m exchanges succeeded,
+    otherwise the code of the node's first failure.
+    """
+    n, m = distances_m.shape
+    sigma = raw_resolution(channel.bandwidth_hz)
+    rx_cost = radio.energy_rx_pulse_pj
+    tx_cost = radio.energy_tx_pulse_pj
+    t_off = harvester.turn_off_threshold_pj
+    failure_code = np.zeros(n, dtype=np.int8)
+    measured = np.full((n, m), np.nan)
+    active = np.ones(n, dtype=bool)
+    for c in range(m):
+        # A node leaves `active` at its first failure.  The threshold
+        # semantics are those of energy.can_afford / consume.
+        blocked = active & ~operational
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= operational
+
+        blocked = active & ~feasible[:, c]
+        failure_code[blocked] = CODE_LINK_INFEASIBLE
+        active &= feasible[:, c]
+
+        blocked = active & (energy_pj < rx_cost)
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= energy_pj >= rx_cost
+        energy_pj[active] -= rx_cost
+        operational[active & (energy_pj < t_off)] = False
+
+        blocked = active & (~operational | (energy_pj < tx_cost))
+        failure_code[blocked] = CODE_NODE_DEPLETED
+        active &= operational & (energy_pj >= tx_cost)
+        energy_pj[active] -= tx_cost
+        operational[active & (energy_pj < t_off)] = False
+
+        measured[active, c] = distances_m[active, c] + sigma * noise[active, c]
+    return measured, failure_code
+
+
+def _measure_node(distances_m: np.ndarray, channel: ChannelParams,
+                  radio: RadioParams, state: EnergyState,
+                  harvester: HarvesterParams, rng: np.random.Generator
+                  ) -> tuple[list[RangeMeasurement], EnergyState]:
+    """measure_batch for one node; the round's noise is drawn up front."""
+    distances = np.asarray(distances_m, dtype=np.float64).reshape(1, -1)
+    _, feasible = received_power_batch(channel, distances)
+    noise = rng.standard_normal(distances.shape)
+    energy = np.array([state.energy_pj], dtype=np.float64)
+    operational = np.array([state.operational])
+    measured, code = measure_batch(distances, feasible, noise, energy,
+                                   operational, channel, radio, harvester)
+    # Exchanges after the first failure report the round's failure.
+    reason = _FAILURE_REASONS.get(int(code[0]))
+    results = [RangeMeasurement(cid, None, reason) if math.isnan(estimate)
+               else RangeMeasurement(cid, float(estimate), None)
+               for cid, estimate in enumerate(measured[0])]
+    return results, EnergyState(float(energy[0]), bool(operational[0]))
+
+
 def exchange(true_distance_m: float, channel: ChannelParams,
              radio: RadioParams, state: EnergyState,
              harvester: HarvesterParams, rng: np.random.Generator,
@@ -96,30 +179,12 @@ def exchange(true_distance_m: float, channel: ChannelParams,
     """Simulate one two-way exchange; returns the measurement and the
     node's energy state afterwards.
 
-    One noise value is drawn from rng per successful exchange.
+    One noise value is drawn from rng, whether or not the exchange
+    succeeds.
     """
-    if not true_distance_m > 0:
-        raise ValueError("true_distance_m must be strictly positive")
-
-    def fail(reason: str) -> RangeMeasurement:
-        return RangeMeasurement(controller_id, None, reason)
-
-    if not state.operational:
-        return fail(FAILURE_NODE_DEPLETED), state
-    if not received_power(channel, true_distance_m).received:
-        return fail(FAILURE_LINK_INFEASIBLE), state
-    if not can_afford(state, radio.energy_rx_pulse_pj):
-        return fail(FAILURE_NODE_DEPLETED), state
-    state = consume(state, radio.energy_rx_pulse_pj, harvester)
-    if not can_afford(state, radio.energy_tx_pulse_pj):
-        # Inbound pulse was received but the reply cannot be sent; the
-        # reception energy stays spent.
-        return fail(FAILURE_NODE_DEPLETED), state
-    state = consume(state, radio.energy_tx_pulse_pj, harvester)
-
-    sigma = raw_resolution(channel.bandwidth_hz)
-    estimate = true_distance_m + sigma * rng.standard_normal()
-    return RangeMeasurement(controller_id, float(estimate), None), state
+    (result,), state = _measure_node([true_distance_m], channel, radio,
+                                     state, harvester, rng)
+    return replace(result, controller_id=controller_id), state
 
 
 def measure_all(node_position: np.ndarray,
@@ -128,18 +193,15 @@ def measure_all(node_position: np.ndarray,
                 state: EnergyState, harvester: HarvesterParams,
                 rng: np.random.Generator
                 ) -> tuple[RangeMeasurementSet, EnergyState]:
-    """Run one exchange per controller in controller-id order, threading
-    the node's energy state through."""
+    """Run one node's round, one exchange per controller in controller-id
+    order; one noise value per controller is drawn from rng up front."""
     controllers = np.asarray(controller_positions, dtype=np.float64)
     if controllers.ndim != 2 or controllers.shape[1] != 3:
         raise ValueError("controller_positions must have shape (m, 3)")
     if controllers.shape[0] < 4:
         raise ValueError("at least 4 controllers are required")
     node = np.asarray(node_position, dtype=np.float64)
-    results = []
-    for cid, cpos in enumerate(controllers):
-        distance = float(np.linalg.norm(node - cpos))
-        measurement, state = exchange(distance, channel, radio, state,
-                                      harvester, rng, controller_id=cid)
-        results.append(measurement)
+    distances = np.linalg.norm(node[None, :] - controllers, axis=1)
+    results, state = _measure_node(distances, channel, radio, state,
+                                   harvester, rng)
     return RangeMeasurementSet(tuple(results)), state

@@ -9,32 +9,29 @@ operational phase (reception of a control packet), and a harvesting
 phase.  Accuracy is the Euclidean localization error; availability is
 the fraction of (node, iteration) attempts that produce a position.
 
-The per-iteration engine is vectorized across nodes.  All randomness for
-an iteration is pre-generated node-major from a per-iteration substream,
-so a run is a pure function of its config.
+The per-iteration engine is vectorized across nodes; its ranging round
+is ranging.measure_batch.  All randomness for an iteration is
+pre-generated node-major from a per-iteration substream, so a run is a
+pure function of its config.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from nanoloc.channel import ChannelParams, raw_resolution, received_power_batch
+from nanoloc.channel import ChannelParams, received_power_batch
 from nanoloc.energy import HarvesterParams, harvest_batch
 from nanoloc.locate import AnchorSet, trilaterate_batch
-from nanoloc.ranging import RadioParams
+# The CODE_* values of IterationResult.failure_code are re-exported here.
+from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
+                             SUCCESS, RadioParams, measure_batch)
 
 # Substream tags under the master seed.
 _TOPOLOGY_STREAM = 0
 _ITERATION_STREAM = 1
-
-# Failure codes used by the vectorized engine.
-SUCCESS = 0
-CODE_NODE_DEPLETED = 1
-CODE_LINK_INFEASIBLE = 2
 
 Seed = int | tuple[int, ...]
 
@@ -131,17 +128,10 @@ def default_config(**overrides) -> SimConfig:
 class Topology:
     """Controller (anchor) corners plus node true positions."""
 
-    grid_rows: int
-    grid_cols: int
-    spacing_m: float
     controller_positions: np.ndarray      # (4, 3)
     node_true_positions: np.ndarray       # (n, 3)
     _anchor_set: AnchorSet | None = field(default=None, init=False,
                                           repr=False, compare=False)
-
-    @property
-    def edge_length_m(self) -> float:
-        return (self.grid_cols - 1) * self.spacing_m
 
     @property
     def node_count(self) -> int:
@@ -167,13 +157,8 @@ def build_topology(config: SimConfig) -> Topology:
     n_nodes = config.grid_rows * config.grid_cols - 4
     rng = substream(config.rng_seed, _TOPOLOGY_STREAM)
     positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n_nodes, 3))
-    return Topology(
-        grid_rows=config.grid_rows,
-        grid_cols=config.grid_cols,
-        spacing_m=config.spacing_m,
-        controller_positions=controllers,
-        node_true_positions=positions,
-    )
+    return Topology(controller_positions=controllers,
+                    node_true_positions=positions)
 
 
 @dataclass
@@ -183,7 +168,6 @@ class WorldState:
     topology: Topology
     energy_pj: np.ndarray        # (n,) float64
     operational: np.ndarray      # (n,) bool
-    iteration: int = 0
 
 
 def initial_world(config: SimConfig, topology: Topology | None = None) -> WorldState:
@@ -225,16 +209,8 @@ def run_iteration(state: WorldState, config: SimConfig,
     chan = config.channel
     harvester = config.harvester
 
-    if n == 0:
-        state.iteration += 1
-        return IterationResult(
-            success=np.zeros(0, dtype=bool),
-            failure_code=np.zeros(0, dtype=np.int8),
-            error_m=np.zeros(0),
-        )
-
     if config.mobility_resample:
-        d = topo.edge_length_m
+        d = config.edge_length_m
         topo.node_true_positions = rng.uniform(
             [0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n, 3))
 
@@ -250,47 +226,13 @@ def run_iteration(state: WorldState, config: SimConfig,
     # directions of an exchange, so one inbound check covers the round).
     _, feasible = received_power_batch(chan, distances)
 
-    sigma = raw_resolution(chan.bandwidth_hz)
-    rx_cost = radio.energy_rx_pulse_pj
-    tx_cost = radio.energy_tx_pulse_pj
-    t_off = harvester.turn_off_threshold_pj
-
     energy = state.energy_pj
     operational = state.operational
-    failure_code = np.zeros(n, dtype=np.int8)
+    measured, failure_code = measure_batch(
+        distances, feasible, noise, energy, operational, chan, radio,
+        harvester)
     error_m = np.full(n, np.nan)
-
-    measured = np.zeros((n, 4))
-    active = np.ones(n, dtype=bool)
-    for c in range(4):
-        # Protocol order per exchange: operational gate, link, reception
-        # debit, transmission debit.  The threshold semantics mirror
-        # energy.consume / can_afford.
-        blocked = active & ~operational
-        failure_code[blocked] = CODE_NODE_DEPLETED
-        active &= operational
-
-        blocked = active & ~feasible[:, c]
-        failure_code[blocked] = CODE_LINK_INFEASIBLE
-        active &= feasible[:, c]
-
-        blocked = active & (energy < rx_cost)
-        failure_code[blocked] = CODE_NODE_DEPLETED
-        active &= energy >= rx_cost
-        energy[active] -= rx_cost
-        operational[active & (energy < t_off)] = False
-
-        blocked = active & (~operational | (energy < tx_cost))
-        failure_code[blocked] = CODE_NODE_DEPLETED
-        active &= operational & (energy >= tx_cost)
-        energy[active] -= tx_cost
-        operational[active & (energy < t_off)] = False
-
-        # One noise draw per successful exchange, consumed in order: a node
-        # still active here succeeded at all c earlier exchanges.
-        measured[active, c] = distances[active, c] + sigma * noise[active, c]
-
-    success = active
+    success = failure_code == SUCCESS
     if np.any(success):
         estimates = trilaterate_batch(
             topo.anchors(), np.maximum(measured[success], 0.0))
@@ -300,17 +242,16 @@ def run_iteration(state: WorldState, config: SimConfig,
     # Operational phase: reception of one control packet from the nearest
     # controller; silence for '0' bits costs nothing.
     nearest = np.argmin(distances, axis=1)
-    cost = bits.sum(axis=1) * rx_cost
+    cost = bits.sum(axis=1) * radio.energy_rx_pulse_pj
     receiving = (operational & (energy >= cost)
                  & feasible[np.arange(n), nearest])
     energy[receiving] -= cost[receiving]
-    operational[receiving & (energy < t_off)] = False
+    operational[receiving & (energy < harvester.turn_off_threshold_pj)] = False
 
     # Harvesting phase.
     energy[:], operational[:] = harvest_batch(
         energy, operational, config.update_period_s, harvester)
 
-    state.iteration += 1
     return IterationResult(success=success, failure_code=failure_code,
                            error_m=error_m)
 

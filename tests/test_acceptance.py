@@ -284,7 +284,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     ok_repeat = outputs[0] == outputs[1]
     ok_parallel = outputs[0] == outputs[2]
     detail = (f"identical CSV bytes across repeated runs: {ok_repeat}; "
-              f"identical with 4 worker threads: {ok_parallel}")
+              f"identical with 4 worker processes: {ok_parallel}")
     report_line(10, "determinism", ok_repeat and ok_parallel, detail)
     assert ok_repeat, detail
     assert ok_parallel, detail

@@ -445,6 +445,23 @@ class TestConfigMapping:
             "energy_tx_pulse_pj", "packet_bits", "update_period_s",
             "iterations", "rng_seed", "mobility_resample", "workers"))
 
+    def test_readme_table_matches_defaults(self):
+        # Every row of the README config table gives a key (or a pair of
+        # keys) and its default, which must be the one SimConfig() gives.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        table = readme.split("| key | default | meaning |", 1)[1]
+        documented = {}
+        for line in table.splitlines()[2:]:
+            if not line.startswith("| `"):
+                break
+            keys, defaults = (cell.strip() for cell in line.split("|")[1:3])
+            for key, value in zip(keys.split(", "), defaults.split(", ")):
+                documented[key.strip("`")] = json.loads(value)
+        assert sorted(documented) == sorted(CONFIG_DEFAULTS)
+        for key, value in documented.items():
+            assert value == CONFIG_DEFAULTS[key], key
+
     def test_result_fields_constant(self):
         assert RESULT_FIELDS == ("parameter_name", "parameter_value", "seed",
                                  "mean_error_m", "p90_error_m", "availability",

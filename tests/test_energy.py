@@ -1,26 +1,19 @@
 """Energy module: charging-curve closed forms, thresholds, hysteresis."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nanoloc.energy import (EnergySaturationError, EnergyState, HarvesterParams,
-                            can_afford, consume, cycle_index, energy_at_cycle,
-                            harvest, harvest_batch)
+from nanoloc.energy import (EnergySaturationError, EnergyState, can_afford,
+                            consume, cycle_index, energy_at_cycle, harvest,
+                            harvest_batch)
+from nanoloc.sim import default_harvester
 
 
 def default_params(**overrides):
-    base = dict(
-        generator_voltage_v=0.42,
-        max_storage_pj=800.0,
-        charge_per_cycle_pc=6.0,
-        cycle_duration_s=0.02,
-        turn_off_threshold_pj=10.0,
-        turn_on_threshold_pj=0.0,
-    )
-    base.update(overrides)
-    return HarvesterParams(**base)
+    return dataclasses.replace(default_harvester(), **overrides)
 
 
 PARAMS = default_params()
@@ -257,6 +250,22 @@ class TestParamValidation:
             default_params(turn_on_threshold_pj=-1.0)
 
 
+def _curve_oracle(energy_pj, params):
+    """Smallest whole k with energy_at_cycle(k) >= energy_pj, found by
+    bisection on the forward curve alone."""
+    high = 1
+    while energy_at_cycle(high, params) < energy_pj:
+        high *= 2
+    low = 0
+    while low < high:
+        mid = (low + high) // 2
+        if energy_at_cycle(mid, params) >= energy_pj:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
 class TestHarvestBatch:
     def test_matches_scalar(self):
         rng = np.random.default_rng(8)
@@ -265,13 +274,20 @@ class TestHarvestBatch:
             np.array([0.0, 800.0, 9.99, 10.0]),
         ])
         flags = rng.random(energies.size) < 0.5
-        for elapsed in [0.0, 0.02, 0.1, 0.37]:
+        start = [None if e >= 800.0 else _curve_oracle(float(e), PARAMS)
+                 for e in energies]
+        # 0.37 s is 18.5 cycles of 20 ms: the remainder is discarded.
+        for elapsed, cycles in [(0.0, 0), (0.02, 1), (0.1, 5), (0.37, 18)]:
             batch_e, batch_op = harvest_batch(energies, flags, elapsed, PARAMS)
             for i in range(energies.size):
-                scalar = harvest(EnergyState(float(energies[i]), bool(flags[i])),
-                                 elapsed, PARAMS)
-                assert batch_e[i] == pytest.approx(scalar.energy_pj, abs=1e-9)
-                assert bool(batch_op[i]) == scalar.operational
+                if cycles == 0:
+                    expected, on = energies[i], bool(flags[i])
+                else:
+                    expected = (800.0 if start[i] is None else
+                                energy_at_cycle(start[i] + cycles, PARAMS))
+                    on = bool(flags[i]) or expected >= 10.0
+                assert batch_e[i] == pytest.approx(expected, abs=1e-9)
+                assert bool(batch_op[i]) == on
 
     def test_inputs_not_modified(self):
         energies = np.array([5.0, 700.0])

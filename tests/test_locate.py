@@ -221,10 +221,11 @@ def _reference_gauss_newton_batch(anchor_pos, d, p0):
 
 def _bit_exact_corpus():
     """(anchors, distances) cases covering every line-search path."""
-    topology = build_topology(default_config())
+    config = default_config()
+    topology = build_topology(config)
     anchors = topology.anchors()
     pos = anchors.positions
-    d = topology.edge_length_m
+    d = config.edge_length_m
     rng = np.random.default_rng(28)
 
     def ranges(points):

@@ -1,36 +1,24 @@
 """Ranging module: exchange protocol order, energy ledger, noise model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nanoloc.channel import ChannelParams, raw_resolution
-from nanoloc.energy import EnergyState, HarvesterParams
+from nanoloc.channel import raw_resolution
+from nanoloc.energy import EnergyState
 from nanoloc.ranging import (FAILURE_LINK_INFEASIBLE, FAILURE_NODE_DEPLETED,
-                             RadioParams, exchange, measure_all)
+                             SUCCESS, RadioParams, exchange, measure_all,
+                             measure_batch)
+from nanoloc.sim import default_channel, default_harvester
 
 
 def harvester(**overrides):
-    base = dict(
-        generator_voltage_v=0.42,
-        max_storage_pj=800.0,
-        charge_per_cycle_pc=6.0,
-        cycle_duration_s=0.02,
-        turn_off_threshold_pj=10.0,
-        turn_on_threshold_pj=0.0,
-    )
-    base.update(overrides)
-    return HarvesterParams(**base)
+    return dataclasses.replace(default_harvester(), **overrides)
 
 
 def channel(**overrides):
-    base = dict(
-        transmit_power_dbm=-20.0,
-        frequency_hz=1e12,
-        bandwidth_hz=1e12,
-        receiver_sensitivity_dbm=-100.0,
-    )
-    base.update(overrides)
-    return ChannelParams(**base)
+    return dataclasses.replace(default_channel(), **overrides)
 
 
 RADIO = RadioParams(energy_rx_pulse_pj=0.1, energy_tx_pulse_pj=1.0, packet_bits=8)
@@ -165,16 +153,52 @@ class TestMeasureAll:
         # exchanges are paid for.
         assert after.energy_pj == pytest.approx(800.0 - 3.3, abs=1e-12)
 
+    def test_round_ends_at_link_failure(self):
+        # Hand oracle: controller 1 is out of range, 2 and 3 are in range.
+        # The round ends at controller 1, so only controller 0's exchange
+        # is paid for (800 - 1.1 pJ) and the rest report the link failure.
+        controllers = np.array([
+            [1e-3, 0.0, 0.0],
+            [1.0, 0.0, 0.0],   # out of range at -100 dBm
+            [0.0, 1e-3, 0.0],
+            [0.0, 0.0, 1e-3],
+        ])
+        rng = np.random.default_rng(11)
+        result, after = measure_all(np.zeros(3), controllers, channel(), RADIO,
+                                    EnergyState(800.0, True), harvester(), rng)
+        reasons = [m.failure_reason for m in result.measurements]
+        assert reasons == [None, FAILURE_LINK_INFEASIBLE,
+                           FAILURE_LINK_INFEASIBLE, FAILURE_LINK_INFEASIBLE]
+        assert after.energy_pj == pytest.approx(798.9, abs=1e-12)
+        assert len(result.distances()) == 1
+
+    def test_round_ends_at_unaffordable_reply(self):
+        # Hand oracle: 1.05 pJ with a 0.01 pJ turn-off level.  The first
+        # reception leaves 0.95 pJ, the node stays on but cannot afford the
+        # reply, and the round ends there: one 0.1 pJ debit, not four
+        # (which would leave 0.65 pJ).
+        rng = np.random.default_rng(12)
+        node = np.array([10e-3, 11e-3, 4e-3])
+        result, after = measure_all(node, CONTROLLERS, channel(), RADIO,
+                                    EnergyState(1.05, True),
+                                    harvester(turn_off_threshold_pj=0.01), rng)
+        assert [m.failure_reason for m in result.measurements] == [
+            FAILURE_NODE_DEPLETED] * 4
+        assert after.energy_pj == pytest.approx(0.95, abs=1e-12)
+        assert after.operational
+
     def test_noise_is_unbiased(self):
+        # 100,000 one-exchange rounds in one batch call: the same draws, in
+        # the same order, as 100,000 calls of exchange.
         rng = np.random.default_rng(10)
-        chan = channel()
         true_d = 10e-3
         n = 100_000
-        errors = np.empty(n)
-        state = EnergyState(800.0, True)
-        for i in range(n):
-            meas, _ = exchange(true_d, chan, RADIO, state, harvester(), rng)
-            errors[i] = meas.estimated_distance_m - true_d
+        measured, codes = measure_batch(
+            np.full((n, 1), true_d), np.ones((n, 1), dtype=bool),
+            rng.standard_normal((n, 1)), np.full(n, 800.0), np.ones(n, dtype=bool),
+            channel(), RADIO, harvester())
+        assert np.all(codes == SUCCESS)
+        errors = measured[:, 0] - true_d
         assert abs(errors.mean()) < 3 * SIGMA / np.sqrt(n)
         assert abs(errors.std() - SIGMA) < 0.02 * SIGMA
 

@@ -1,7 +1,8 @@
 """Sim module: topology, iteration engine, aggregation, determinism.
 
-The vectorized per-iteration engine is cross-validated against a scalar
-replay built from the energy/channel/ranging module operations.
+The vectorized per-iteration engine is cross-validated against a replay
+built from the scalar energy and channel operations, with its own
+ranging round (the engine's round lives in ranging.measure_batch).
 """
 
 import dataclasses
@@ -13,9 +14,8 @@ from nanoloc import energy as energy_mod
 from nanoloc.channel import received_power
 from nanoloc.energy import EnergyState
 from nanoloc.locate import trilaterate
-from nanoloc.ranging import measure_all
-from nanoloc.sim import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SimConfig,
-                         build_topology, default_config, initial_world,
+from nanoloc.sim import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
+                         SimConfig, build_topology, default_config, initial_world,
                          nearest_rank_percentile, run_iteration, run_simulation,
                          substream)
 
@@ -28,17 +28,18 @@ def small_config(**overrides):
 
 class TestBuildTopology:
     def test_default_grid(self):
-        topo = build_topology(default_config())
-        assert topo.edge_length_m == pytest.approx(21.6e-3, rel=1e-12)
+        config = default_config()
+        topo = build_topology(config)
+        assert config.edge_length_m == pytest.approx(21.6e-3, rel=1e-12)
         assert topo.node_count == 621
-        d = topo.edge_length_m
+        d = config.edge_length_m
         expected = np.array([[0, 0, 0], [d, 0, 0], [0, d, 0], [d, d, 0]])
         assert np.array_equal(topo.controller_positions, expected)
 
     def test_positions_inside_box(self):
-        topo = build_topology(default_config())
-        pos = topo.node_true_positions
-        d = topo.edge_length_m
+        config = default_config()
+        pos = build_topology(config).node_true_positions
+        d = config.edge_length_m
         assert np.all(pos >= 0.0)
         assert np.all(pos[:, 0] <= d)
         assert np.all(pos[:, 1] <= d)
@@ -114,17 +115,28 @@ class TestRunIteration:
         assert not np.array_equal(before, after)
 
 
-class _ReplayRng:
-    """Replays a fixed sequence of standard-normal draws."""
-
-    def __init__(self, values):
-        self._values = list(values)
-        self._next = 0
-
-    def standard_normal(self):
-        value = self._values[self._next]
-        self._next += 1
-        return value
+def _node_round(distances, config: SimConfig, state: EnergyState):
+    """Reference ranging round of one node built from the scalar energy
+    and channel operations: each controller's exchange in order (gate,
+    link, reception debit, transmission debit), ending at the first
+    failure.  Returns (failure code, state)."""
+    harvester = config.harvester
+    rx_cost = config.radio.energy_rx_pulse_pj
+    tx_cost = config.radio.energy_tx_pulse_pj
+    for distance in distances:
+        if not state.operational:
+            return CODE_NODE_DEPLETED, state
+        if not received_power(config.channel, distance).received:
+            return CODE_LINK_INFEASIBLE, state
+        if not energy_mod.can_afford(state, rx_cost):
+            return CODE_NODE_DEPLETED, state
+        state = energy_mod.consume(state, rx_cost, harvester)
+        if not energy_mod.can_afford(state, tx_cost):
+            # The inbound pulse was received but the reply cannot be sent;
+            # the reception energy stays spent.
+            return CODE_NODE_DEPLETED, state
+        state = energy_mod.consume(state, tx_cost, harvester)
+    return SUCCESS, state
 
 
 def _scalar_replay(config: SimConfig, iterations: int):
@@ -137,31 +149,34 @@ def _scalar_replay(config: SimConfig, iterations: int):
     states = [EnergyState(float(e0), e0 >= config.harvester.effective_turn_on_pj)
               for _ in range(n)]
     controllers = topology.controller_positions
-    success_log = []
+    code_log = []
     energy_log = []
     for t in range(iterations):
         rng = substream(config.rng_seed, 1, t)
-        noise = rng.standard_normal((n, 4))
+        rng.standard_normal((n, 4))  # ranging noise; estimates are not replayed
         bits = rng.integers(0, 2, size=(n, config.radio.packet_bits))
-        successes = np.zeros(n, dtype=bool)
+        codes = np.zeros(n, dtype=np.int8)
         for i in range(n):
             node = topology.node_true_positions[i]
-            result, states[i] = measure_all(
-                node, controllers, config.channel, config.radio, states[i],
-                config.harvester, _ReplayRng(noise[i]))
-            successes[i] = result.all_succeeded
+            distances = [float(np.linalg.norm(node - c)) for c in controllers]
+            codes[i], states[i] = _node_round(distances, config, states[i])
             # Operational packet from the nearest controller.
-            distances = np.linalg.norm(node[None, :] - controllers, axis=1)
-            nearest = float(distances.min())
             cost = float(bits[i].sum()) * config.radio.energy_rx_pulse_pj
             if (energy_mod.can_afford(states[i], cost)
-                    and received_power(config.channel, nearest).received):
+                    and received_power(config.channel, min(distances)).received):
                 states[i] = energy_mod.consume(states[i], cost, config.harvester)
             states[i] = energy_mod.harvest(states[i], config.update_period_s,
                                            config.harvester)
-        success_log.append(successes)
+        code_log.append(codes)
         energy_log.append(np.array([s.energy_pj for s in states]))
-    return success_log, energy_log, [s.operational for s in states]
+    return code_log, energy_log, [s.operational for s in states]
+
+
+_MIXED_LINKS = dict(
+    spacing_m=3e-3,
+    channel=dataclasses.replace(default_config().channel,
+                                receiver_sensitivity_dbm=-68.0),
+    initial_energy_pj=30.0)
 
 
 class TestEngineMatchesScalarOperations:
@@ -170,26 +185,46 @@ class TestEngineMatchesScalarOperations:
         dict(),
         # Boundary energy: exercises threshold flips and partial debits.
         dict(initial_energy_pj=20.0),
-        # Mixed link feasibility plus depletion.
-        dict(spacing_m=3e-3,
-             channel=dataclasses.replace(default_config().channel,
-                                         receiver_sensitivity_dbm=-72.0),
-             initial_energy_pj=30.0),
+        # Mixed link feasibility plus depletion: nodes with a feasible link
+        # after an infeasible one.
+        _MIXED_LINKS,
+        # A low turn-off level keeps a node on after a reception-only
+        # debit, so its round must stop there.
+        dict(harvester=dataclasses.replace(default_config().harvester,
+                                           turn_off_threshold_pj=0.01),
+             initial_energy_pj=1.05),
     ])
     def test_trajectories_match(self, overrides):
         config = small_config(grid_rows=4, grid_cols=3, iterations=25,
                               rng_seed=11, **overrides)
-        expected_success, expected_energy, expected_op = _scalar_replay(
+        expected_code, expected_energy, expected_op = _scalar_replay(
             config, config.iterations)
 
         world = initial_world(config)
         for t in range(config.iterations):
             rng = substream(config.rng_seed, 1, t)
             result = run_iteration(world, config, rng)
-            assert np.array_equal(result.success, expected_success[t]), f"iter {t}"
+            assert np.array_equal(result.failure_code, expected_code[t]), f"iter {t}"
+            assert np.array_equal(result.success, expected_code[t] == SUCCESS)
             np.testing.assert_allclose(world.energy_pj, expected_energy[t],
                                        atol=1e-9)
         assert [bool(v) for v in world.operational] == expected_op
+
+    def test_mixed_links_case_has_a_link_after_a_gap(self):
+        config = small_config(grid_rows=4, grid_cols=3, rng_seed=11,
+                              **_MIXED_LINKS)
+        topology = build_topology(config)
+        feasible = np.array([
+            [received_power(config.channel,
+                            float(np.linalg.norm(node - c))).received
+             for c in topology.controller_positions]
+            for node in topology.node_true_positions])
+        # A feasible link at some controller after an infeasible one (6 of
+        # the 8 nodes at seed 11).
+        gap_then_link = [any(not feasible[i, a] and feasible[i, b]
+                             for a in range(4) for b in range(a + 1, 4))
+                         for i in range(topology.node_count)]
+        assert sum(gap_then_link) >= 1
 
     def test_estimates_match_trilaterate(self):
         # The engine's batched solve must agree with per-node trilateration
@@ -227,18 +262,16 @@ class TestRunSimulation:
         assert sum(report.per_iteration_successes) == report.successes
         assert report.error_samples_m.size == report.successes
 
-    def test_determinism_and_worker_independence(self):
+    def test_determinism(self):
         config = small_config(grid_rows=6, grid_cols=5, iterations=40,
                               rng_seed=23)
         first = run_simulation(config)
         second = run_simulation(config)
-        parallel = run_simulation(dataclasses.replace(config, workers=3))
-        for other in (second, parallel):
-            assert other.mean_error_m == first.mean_error_m
-            assert other.p90_error_m == first.p90_error_m
-            assert other.availability == first.availability
-            assert other.per_iteration_successes == first.per_iteration_successes
-            assert np.array_equal(other.error_samples_m, first.error_samples_m)
+        assert second.mean_error_m == first.mean_error_m
+        assert second.p90_error_m == first.p90_error_m
+        assert second.availability == first.availability
+        assert second.per_iteration_successes == first.per_iteration_successes
+        assert np.array_equal(second.error_samples_m, first.error_samples_m)
 
     def test_different_seeds_differ(self):
         a = run_simulation(small_config(rng_seed=1))
