@@ -182,6 +182,21 @@ def can_afford(state: EnergyState, amount_pj: float) -> bool:
     return state.operational and state.energy_pj >= amount_pj
 
 
+def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
+                cost_pj: float | np.ndarray, payers: np.ndarray,
+                params: HarvesterParams) -> np.ndarray:
+    """can_afford then consume over node arrays, debited in place.
+
+    Each payer that can afford cost_pj (a scalar or one cost per node)
+    pays it, and a payer left below the turn-off threshold turns off.
+    Returns the mask of nodes that paid; the others are untouched.
+    """
+    paid = payers & operational & (energy_pj >= cost_pj)
+    np.subtract(energy_pj, cost_pj, out=energy_pj, where=paid)
+    operational[paid & (energy_pj < params.turn_off_threshold_pj)] = False
+    return paid
+
+
 def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
                   elapsed_s: float, params: HarvesterParams
                   ) -> tuple[np.ndarray, np.ndarray]:

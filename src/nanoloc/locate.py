@@ -11,7 +11,7 @@ residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -39,7 +39,6 @@ class AnchorSet:
     """Four anchors at known positions (meters, 3D)."""
 
     positions: np.ndarray
-    ids: tuple[int, ...] = field(default=(0, 1, 2, 3))
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -48,8 +47,6 @@ class AnchorSet:
         if not np.all(np.isfinite(pos)):
             raise ValueError("anchor positions must be finite")
         object.__setattr__(self, "positions", pos)
-        if len(self.ids) != 4:
-            raise ValueError("ids must have length 4")
         for i in range(4):
             for j in range(i + 1, 4):
                 if np.array_equal(pos[i], pos[j]):
@@ -182,7 +179,7 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     return estimate
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
+def norm(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=-1), same arithmetic, less call overhead."""
     return np.sqrt(np.add.reduce(v * v, axis=-1))
 
@@ -190,7 +187,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _range_residuals(anchor_pos: np.ndarray, d: np.ndarray,
                      p: np.ndarray) -> np.ndarray:
     """Residuals (..., 4) of positions p (..., 3) against ranges d."""
-    return _norm(p[..., None, :] - anchor_pos) - d
+    return norm(p[..., None, :] - anchor_pos) - d
 
 
 def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
@@ -212,7 +209,7 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
         pa = p[active]
         ra = res[active]
         diff = pa[:, None, :] - anchor_pos[None, :, :]
-        jac = diff / np.maximum(_norm(diff)[:, :, None], 1e-18)
+        jac = diff / np.maximum(norm(diff)[:, :, None], 1e-18)
         # Damped normal equations; the damping keeps the solve regular for
         # the rank-deficient Jacobian of points on the anchor plane while
         # staying far below the 1e-9 m step tolerance.
@@ -241,7 +238,7 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
             trial_res[rows] = halved_res[found, first]
             accepted[rows] = True
 
-        moved = _norm(trial_p[accepted] - pa[accepted])
+        moved = norm(trial_p[accepted] - pa[accepted])
         stepped = active[accepted]
         p[stepped] = trial_p[accepted]
         res[stepped] = trial_res[accepted]

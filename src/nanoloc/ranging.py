@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from nanoloc.channel import ChannelParams, raw_resolution, received_power_batch
-from nanoloc.energy import EnergyState, HarvesterParams
+from nanoloc.energy import EnergyState, HarvesterParams, spend_batch
 
 FAILURE_NODE_DEPLETED = "node_energy_depleted"
 FAILURE_LINK_INFEASIBLE = "link_infeasible"
@@ -119,35 +119,20 @@ def measure_batch(distances_m: np.ndarray, feasible: np.ndarray,
     """
     n, m = distances_m.shape
     sigma = raw_resolution(channel.bandwidth_hz)
-    rx_cost = radio.energy_rx_pulse_pj
-    tx_cost = radio.energy_tx_pulse_pj
-    t_off = harvester.turn_off_threshold_pj
     failure_code = np.zeros(n, dtype=np.int8)
     measured = np.full((n, m), np.nan)
     active = np.ones(n, dtype=bool)
     for c in range(m):
-        # A node leaves `active` at its first failure.  The threshold
-        # semantics are those of energy.can_afford / consume.
-        blocked = active & ~operational
-        failure_code[blocked] = CODE_NODE_DEPLETED
+        # A node leaves `active` at its first failure; each pulse is paid
+        # through energy.spend_batch.
+        failure_code[active & ~operational] = CODE_NODE_DEPLETED
         active &= operational
-
-        blocked = active & ~feasible[:, c]
-        failure_code[blocked] = CODE_LINK_INFEASIBLE
+        failure_code[active & ~feasible[:, c]] = CODE_LINK_INFEASIBLE
         active &= feasible[:, c]
-
-        blocked = active & (energy_pj < rx_cost)
-        failure_code[blocked] = CODE_NODE_DEPLETED
-        active &= energy_pj >= rx_cost
-        energy_pj[active] -= rx_cost
-        operational[active & (energy_pj < t_off)] = False
-
-        blocked = active & (~operational | (energy_pj < tx_cost))
-        failure_code[blocked] = CODE_NODE_DEPLETED
-        active &= operational & (energy_pj >= tx_cost)
-        energy_pj[active] -= tx_cost
-        operational[active & (energy_pj < t_off)] = False
-
+        for cost in (radio.energy_rx_pulse_pj, radio.energy_tx_pulse_pj):
+            paid = spend_batch(energy_pj, operational, cost, active, harvester)
+            failure_code[active & ~paid] = CODE_NODE_DEPLETED
+            active = paid
         measured[active, c] = distances_m[active, c] + sigma * noise[active, c]
     return measured, failure_code
 

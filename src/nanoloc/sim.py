@@ -10,9 +10,11 @@ phase.  Accuracy is the Euclidean localization error; availability is
 the fraction of (node, iteration) attempts that produce a position.
 
 The per-iteration engine is vectorized across nodes; its ranging round
-is ranging.measure_batch.  All randomness for an iteration is
-pre-generated node-major from a per-iteration substream, so a run is a
-pure function of its config.
+is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
+A Topology's links are computed once per placement: a static run keeps
+build_topology's, mobility resampling places the nodes anew each period.
+All randomness for an iteration is pre-generated node-major from a
+per-iteration substream, so a run is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from nanoloc.channel import ChannelParams, received_power_batch
-from nanoloc.energy import HarvesterParams, harvest_batch
-from nanoloc.locate import AnchorSet, trilaterate_batch
+from nanoloc.energy import HarvesterParams, harvest_batch, spend_batch
+from nanoloc.locate import AnchorSet, norm, trilaterate_batch
 # The CODE_* values of IterationResult.failure_code are re-exported here.
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
                              SUCCESS, RadioParams, measure_batch)
@@ -124,41 +126,48 @@ def default_config(**overrides) -> SimConfig:
     return replace(SimConfig(), **overrides) if overrides else SimConfig()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Controller (anchor) corners plus node true positions."""
+    """One node placement and its links to the corner controllers,
+    computed once per placement."""
 
-    controller_positions: np.ndarray      # (4, 3)
+    anchors: AnchorSet                    # the controllers, (4, 3)
     node_true_positions: np.ndarray       # (n, 3)
-    _anchor_set: AnchorSet | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    distances_m: np.ndarray               # (n, 4)
+    feasible: np.ndarray                  # (n, 4) bool
+    packet_link: np.ndarray               # (n,) feasible to the nearest
 
     @property
     def node_count(self) -> int:
         return self.node_true_positions.shape[0]
 
-    def anchors(self) -> AnchorSet:
-        """The controllers as an AnchorSet, built on first use."""
-        if self._anchor_set is None:
-            self._anchor_set = AnchorSet(positions=self.controller_positions)
-        return self._anchor_set
+
+def _place(config: SimConfig, anchors: AnchorSet,
+           rng: np.random.Generator) -> Topology:
+    """Node positions drawn from rng uniformly in the (d, d, d/2) box,
+    with their links to the anchors."""
+    d = config.edge_length_m
+    n_nodes = config.grid_rows * config.grid_cols - 4
+    positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n_nodes, 3))
+    distances = norm(positions[:, None, :] - anchors.positions)
+    _, feasible = received_power_batch(config.channel, distances)
+    nearest = np.argmin(distances, axis=1)
+    return Topology(anchors=anchors, node_true_positions=positions,
+                    distances_m=distances, feasible=feasible,
+                    packet_link=feasible[np.arange(n_nodes), nearest])
 
 
 def build_topology(config: SimConfig) -> Topology:
-    """Grid corners as controllers; node positions uniform in the
-    (d, d, d/2) box, drawn from the topology substream of the seed."""
+    """Grid corners as controllers; node positions drawn from the
+    topology substream of the seed."""
     d = config.edge_length_m
-    controllers = np.array([
+    anchors = AnchorSet(positions=np.array([
         [0.0, 0.0, 0.0],
         [d, 0.0, 0.0],
         [0.0, d, 0.0],
         [d, d, 0.0],
-    ])
-    n_nodes = config.grid_rows * config.grid_cols - 4
-    rng = substream(config.rng_seed, _TOPOLOGY_STREAM)
-    positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n_nodes, 3))
-    return Topology(controller_positions=controllers,
-                    node_true_positions=positions)
+    ]))
+    return _place(config, anchors, substream(config.rng_seed, _TOPOLOGY_STREAM))
 
 
 @dataclass
@@ -203,50 +212,34 @@ def run_iteration(state: WorldState, config: SimConfig,
     draws happen up front: per-node positions (only when mobility
     resampling is on), ranging noise, packet bits.
     """
+    radio = config.radio
+    harvester = config.harvester
+    if config.mobility_resample:
+        state.topology = _place(config, state.topology.anchors, rng)
     topo = state.topology
     n = topo.node_count
-    radio = config.radio
-    chan = config.channel
-    harvester = config.harvester
-
-    if config.mobility_resample:
-        d = config.edge_length_m
-        topo.node_true_positions = rng.uniform(
-            [0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n, 3))
 
     noise = rng.standard_normal((n, 4))
     bits = rng.integers(0, 2, size=(n, radio.packet_bits))
 
-    positions = topo.node_true_positions
-    controllers = topo.controller_positions
-    distances = np.linalg.norm(
-        positions[:, None, :] - controllers[None, :, :], axis=2)
-
-    # Link feasibility, computed once per iteration (same budget in both
-    # directions of an exchange, so one inbound check covers the round).
-    _, feasible = received_power_batch(chan, distances)
-
     energy = state.energy_pj
     operational = state.operational
     measured, failure_code = measure_batch(
-        distances, feasible, noise, energy, operational, chan, radio,
-        harvester)
+        topo.distances_m, topo.feasible, noise, energy, operational,
+        config.channel, radio, harvester)
     error_m = np.full(n, np.nan)
     success = failure_code == SUCCESS
     if np.any(success):
         estimates = trilaterate_batch(
-            topo.anchors(), np.maximum(measured[success], 0.0))
-        error_m[success] = np.linalg.norm(
-            estimates - positions[success], axis=1)
+            topo.anchors, np.maximum(measured[success], 0.0))
+        error_m[success] = norm(
+            estimates - topo.node_true_positions[success])
 
     # Operational phase: reception of one control packet from the nearest
     # controller; silence for '0' bits costs nothing.
-    nearest = np.argmin(distances, axis=1)
-    cost = bits.sum(axis=1) * radio.energy_rx_pulse_pj
-    receiving = (operational & (energy >= cost)
-                 & feasible[np.arange(n), nearest])
-    energy[receiving] -= cost[receiving]
-    operational[receiving & (energy < harvester.turn_off_threshold_pj)] = False
+    spend_batch(energy, operational,
+                bits.sum(axis=1) * radio.energy_rx_pulse_pj,
+                topo.packet_link, harvester)
 
     # Harvesting phase.
     energy[:], operational[:] = harvest_batch(

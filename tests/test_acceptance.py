@@ -9,8 +9,7 @@ between criteria.
 import numpy as np
 import pytest
 
-from nanoloc.channel import (raw_resolution, received_power,
-                             received_power_batch)
+from nanoloc.channel import raw_resolution, received_power
 from nanoloc.cli import apply_swept_parameter, main
 from nanoloc.energy import cycle_index, energy_at_cycle
 from nanoloc.locate import AnchorSet, localization_error, trilaterate
@@ -128,15 +127,11 @@ def test_criterion_04_harvesting_rate_sweep(run_cache):
 
 def reachable_share(seed, frequency_hz):
     """Share of the seed's nodes that the link budget reaches from all
-    four controllers at frequency_hz (default geometry, static topology)."""
+    four controllers at frequency_hz (default geometry, static topology),
+    by the simulator's own link verdict."""
     config = apply_swept_parameter(default_config(rng_seed=seed),
                                    "frequency_hz", frequency_hz)
-    topology = build_topology(config)
-    distances = np.linalg.norm(topology.node_true_positions[:, None, :]
-                               - topology.controller_positions[None, :, :],
-                               axis=2)
-    _, received = received_power_batch(config.channel, distances)
-    return float(np.mean(received.all(axis=1)))
+    return float(np.mean(build_topology(config).feasible.all(axis=1)))
 
 
 def test_criterion_05_frequency_insensitivity(run_cache):

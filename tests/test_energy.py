@@ -8,7 +8,7 @@ import pytest
 
 from nanoloc.energy import (EnergySaturationError, EnergyState, can_afford,
                             consume, cycle_index, energy_at_cycle, harvest,
-                            harvest_batch)
+                            harvest_batch, spend_batch)
 from nanoloc.sim import default_harvester
 
 
@@ -194,6 +194,69 @@ class TestCanAfford:
 
     def test_insufficient(self):
         assert not can_afford(EnergyState(4.3, True), 4.4)
+
+
+def _spend_reference(energy, operational, cost, payers):
+    """can_afford then consume, node by node: (energy, operational, paid)."""
+    out = []
+    for e, on, c, payer in zip(energy, operational,
+                               np.broadcast_to(cost, energy.shape), payers):
+        state = EnergyState(float(e), bool(on))
+        paid = bool(payer) and can_afford(state, float(c))
+        if paid:
+            state = consume(state, float(c), PARAMS)
+        out.append((state.energy_pj, state.operational, paid))
+    energy_out, operational_out, paid_out = zip(*out)
+    return np.array(energy_out), np.array(operational_out), np.array(paid_out)
+
+
+class TestSpendBatch:
+    # (energy, operational, cost, payer); binary fractions, so the
+    # boundary debits land exactly.
+    CASES = [
+        (4.4, True, 4.4, True),      # E == cost: pays all of it, turns off
+        (10.5, True, 0.5, True),     # lands exactly on the turn-off level
+        (10.5, True, 0.75, True),    # lands just below it
+        (4.3, True, 4.4, True),      # cannot afford
+        (800.0, False, 0.1, True),   # non-operational payer
+        (800.0, True, 1.0, False),   # non-payer that could afford
+        (5.0, False, 1.0, False),    # non-payer, off
+        (0.0, True, 0.0, True),      # free debit below the turn-off level
+        (800.0, True, 0.8, True),
+    ]
+
+    def corpus(self):
+        rng = np.random.default_rng(10)
+        energy, operational, cost, payers = (np.array(col) for col in
+                                             zip(*self.CASES))
+        return (np.concatenate([energy, rng.uniform(0.0, 20.0, size=200)]),
+                np.concatenate([operational, rng.random(200) < 0.8]),
+                np.concatenate([cost, rng.uniform(0.0, 6.0, size=200)]),
+                np.concatenate([payers, rng.random(200) < 0.8]))
+
+    @pytest.mark.parametrize("scalar_cost", [None, 0.1, 1.0, 4.4])
+    def test_matches_can_afford_then_consume(self, scalar_cost):
+        energy, operational, cost, payers = self.corpus()
+        if scalar_cost is not None:
+            cost = scalar_cost
+        expected = _spend_reference(energy, operational, cost, payers)
+        paid = spend_batch(energy, operational, cost, payers, PARAMS)
+        assert np.array_equal(energy, expected[0])
+        assert np.array_equal(operational, expected[1])
+        assert np.array_equal(paid, expected[2])
+
+    def test_boundary_cases(self):
+        energy, operational, cost, payers = (np.array(col) for col in
+                                             zip(*self.CASES))
+        before = energy.copy()
+        paid = spend_batch(energy, operational, cost, payers, PARAMS)
+        assert paid.tolist() == [True, True, True, False, False, False,
+                                 False, True, True]
+        assert energy[:3].tolist() == [0.0, 10.0, 9.75]
+        assert operational[:3].tolist() == [False, True, False]
+        # Nodes that did not pay keep their energy bit for bit.
+        assert np.array_equal(energy[~paid], before[~paid])
+        assert operational[5] and not operational[6]
 
 
 class TestHysteresis:

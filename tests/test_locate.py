@@ -223,7 +223,7 @@ def _bit_exact_corpus():
     """(anchors, distances) cases covering every line-search path."""
     config = default_config()
     topology = build_topology(config)
-    anchors = topology.anchors()
+    anchors = topology.anchors
     pos = anchors.positions
     d = config.edge_length_m
     rng = np.random.default_rng(28)

@@ -34,7 +34,7 @@ class TestBuildTopology:
         assert topo.node_count == 621
         d = config.edge_length_m
         expected = np.array([[0, 0, 0], [d, 0, 0], [0, d, 0], [d, d, 0]])
-        assert np.array_equal(topo.controller_positions, expected)
+        assert np.array_equal(topo.anchors.positions, expected)
 
     def test_positions_inside_box(self):
         config = default_config()
@@ -77,8 +77,11 @@ class TestRunIteration:
     def test_full_energy_node_accounting(self):
         config = small_config()
         world = initial_world(config)
+        topology = world.topology
         rng = substream(config.rng_seed, 1, 0)
         result = run_iteration(world, config, rng)
+        # A static run keeps its placement and links.
+        assert world.topology is topology
         assert result.success.all()
         assert np.all(np.isfinite(result.error_m))
         # Energy after one period: full localization (4.4 pJ), packet '1'
@@ -144,20 +147,26 @@ def _scalar_replay(config: SimConfig, iterations: int):
     scalar module operations, consuming the same random layout."""
     topology = build_topology(config)
     n = topology.node_count
+    positions = topology.node_true_positions
+    d = config.edge_length_m
     e0 = (config.harvester.max_storage_pj
           if config.initial_energy_pj is None else config.initial_energy_pj)
     states = [EnergyState(float(e0), e0 >= config.harvester.effective_turn_on_pj)
               for _ in range(n)]
-    controllers = topology.controller_positions
+    controllers = topology.anchors.positions
     code_log = []
     energy_log = []
     for t in range(iterations):
         rng = substream(config.rng_seed, 1, t)
+        if config.mobility_resample:
+            # Every period redraws the nodes uniformly in the (d, d, d/2) box.
+            positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0],
+                                    size=(n, 3))
         rng.standard_normal((n, 4))  # ranging noise; estimates are not replayed
         bits = rng.integers(0, 2, size=(n, config.radio.packet_bits))
         codes = np.zeros(n, dtype=np.int8)
         for i in range(n):
-            node = topology.node_true_positions[i]
+            node = positions[i]
             distances = [float(np.linalg.norm(node - c)) for c in controllers]
             codes[i], states[i] = _node_round(distances, config, states[i])
             # Operational packet from the nearest controller.
@@ -193,6 +202,9 @@ class TestEngineMatchesScalarOperations:
         dict(harvester=dataclasses.replace(default_config().harvester,
                                            turn_off_threshold_pj=0.01),
              initial_energy_pj=1.05),
+        # Mixed links with the nodes moving: each period's links must follow
+        # the new positions.
+        dict(_MIXED_LINKS, mobility_resample=True),
     ])
     def test_trajectories_match(self, overrides):
         config = small_config(grid_rows=4, grid_cols=3, iterations=25,
@@ -217,7 +229,7 @@ class TestEngineMatchesScalarOperations:
         feasible = np.array([
             [received_power(config.channel,
                             float(np.linalg.norm(node - c))).received
-             for c in topology.controller_positions]
+             for c in topology.anchors.positions]
             for node in topology.node_true_positions])
         # A feasible link at some controller after an infeasible one (6 of
         # the 8 nodes at seed 11).
@@ -240,11 +252,11 @@ class TestEngineMatchesScalarOperations:
         assert result.success.all()
 
         sigma = 2.99792458e8 / config.channel.bandwidth_hz
-        anchors = topology.anchors()
+        anchors = topology.anchors
         for i in range(topology.node_count):
             truth = topology.node_true_positions[i]
             distances = np.linalg.norm(
-                truth[None, :] - topology.controller_positions, axis=1)
+                truth[None, :] - topology.anchors.positions, axis=1)
             measured = distances + sigma * noise[i]
             est = trilaterate(anchors, np.maximum(measured, 0.0))
             expected_error = float(np.linalg.norm(est.position_m - truth))
