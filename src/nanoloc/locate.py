@@ -184,12 +184,6 @@ def norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
-def _range_residuals(anchor_pos: np.ndarray, d: np.ndarray,
-                     p: np.ndarray) -> np.ndarray:
-    """Residuals (..., 4) of positions p (..., 3) against ranges d."""
-    return norm(p[..., None, :] - anchor_pos) - d
-
-
 def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
                         p0: np.ndarray) -> np.ndarray:
     """Gauss-Newton on range residuals with backtracking step halving.
@@ -198,49 +192,57 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
     (ill-conditioned Jacobian); each step is only accepted if it reduces
     the residual norm, and the step is halved otherwise.  Rows the full
     step does not improve try all halved scales in one batch and take the
-    first that lowers the cost; a row that finds none stops.
+    first that lowers the cost; a row that finds none stops.  The working
+    arrays hold only the rows still moving, and an accepted trial's anchor
+    offsets and ranges build the next Jacobian.
     """
-    p = p0.copy()
-    res = _range_residuals(anchor_pos, d, p)
-    active = np.arange(p.shape[0])
+    out = p0.copy()
+    rows = np.arange(p0.shape[0])        # output row of each working row
+    # C order: the bits of the stacked products follow the Jacobian's layout.
+    p = np.ascontiguousarray(p0)
+    diff = p[:, None, :] - anchor_pos
+    dist = norm(diff)
+    res = dist - d
     for _ in range(_GN_MAX_ITERATIONS):
-        if active.size == 0:
+        if rows.size == 0:
             break
-        pa = p[active]
-        ra = res[active]
-        diff = pa[:, None, :] - anchor_pos[None, :, :]
-        jac = diff / np.maximum(norm(diff)[:, :, None], 1e-18)
+        jac = np.divide(diff, np.maximum(dist[:, :, None], 1e-18), out=diff)
         # Damped normal equations; the damping keeps the solve regular for
         # the rank-deficient Jacobian of points on the anchor plane while
         # staying far below the 1e-9 m step tolerance.
         jt = np.swapaxes(jac, 1, 2)
         hess = jt @ jac + _GN_DAMPING
-        grad = (jt @ ra[:, :, None])
+        grad = (jt @ res[:, :, None])
         step = -np.linalg.solve(hess, grad)[:, :, 0]
+        del jac, jt, hess, grad      # memory (jac reused diff's buffer)
 
-        da = d[active]
-        cost = np.add.reduce(ra * ra, axis=-1)
-        trial_p = pa + step
-        trial_res = _range_residuals(anchor_pos, da, trial_p)
-        accepted = np.add.reduce(trial_res * trial_res, axis=-1) < cost
+        # From here on diff, dist and res describe the trial positions.
+        cost = np.add.reduce(res * res, axis=-1)
+        trial_p = p + step
+        diff = trial_p[:, None, :] - anchor_pos
+        dist = norm(diff)
+        res = dist - d
+        accepted = np.add.reduce(res * res, axis=-1) < cost
         rejected = np.flatnonzero(~accepted)
         if rejected.size:
-            halved_p = (pa[rejected, None, :]
+            halved_p = (p[rejected, None, :]
                         + _GN_HALVED_SCALES[:, None] * step[rejected, None, :])
-            halved_res = _range_residuals(anchor_pos, da[rejected, None, :],
-                                          halved_p)
+            halved_diff = halved_p[:, :, None, :] - anchor_pos
+            halved_dist = norm(halved_diff)
+            halved_res = halved_dist - d[rejected, None, :]
             lower = (np.add.reduce(halved_res * halved_res, axis=-1)
                      < cost[rejected, None])
             found = lower.any(axis=1)
             first = lower[found].argmax(axis=1)
-            rows = rejected[found]
-            trial_p[rows] = halved_p[found, first]
-            trial_res[rows] = halved_res[found, first]
-            accepted[rows] = True
+            taken = rejected[found]
+            trial_p[taken] = halved_p[found, first]
+            diff[taken] = halved_diff[found, first]
+            dist[taken] = halved_dist[found, first]
+            res[taken] = halved_res[found, first]
+            accepted[taken] = True
 
-        moved = norm(trial_p[accepted] - pa[accepted])
-        stepped = active[accepted]
-        p[stepped] = trial_p[accepted]
-        res[stepped] = trial_res[accepted]
-        active = stepped[moved >= _GN_STEP_TOL_M]
-    return p
+        out[rows[accepted]] = trial_p[accepted]
+        moving = accepted & (norm(trial_p - p) >= _GN_STEP_TOL_M)
+        p, diff, dist, res, d, rows = (
+            a[moving] for a in (trial_p, diff, dist, res, d, rows))
+    return out

@@ -4,13 +4,16 @@ A grid of nanonodes with the four grid corners acting as controllers
 (anchors).  Node true positions are drawn uniformly in the box
 (d, d, d/2) above the controller plane, d being the edge length between
 corner controllers.  Each update period every node runs a localization
-phase (one two-way exchange per controller, then trilateration), an
-operational phase (reception of a control packet), and a harvesting
-phase.  Accuracy is the Euclidean localization error; availability is
+phase (one two-way exchange per controller), an operational phase
+(reception of a control packet), and a harvesting phase.  Accuracy is the
+error of the position trilaterated from a round's ranges; availability is
 the fraction of (node, iteration) attempts that produce a position.
 
 The per-iteration engine is vectorized across nodes; its ranging round
 is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
+An estimate feeds nothing back, so run_simulation defers trilateration:
+it solves the successful rows of many periods together, in chunks of
+_LOCATE_CHUNK_ROWS rows, which bounds memory at any grid size.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
 All randomness for an iteration is pre-generated node-major from a
@@ -34,6 +37,9 @@ from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
 # Substream tags under the master seed.
 _TOPOLOGY_STREAM = 0
 _ITERATION_STREAM = 1
+
+# Rows per trilaterate_batch call; bounds the solver's working memory.
+_LOCATE_CHUNK_ROWS = 1024
 
 Seed = int | tuple[int, ...]
 
@@ -197,7 +203,7 @@ class IterationResult:
 
     success: np.ndarray          # (n,) bool
     failure_code: np.ndarray     # (n,) int8; SUCCESS where success
-    error_m: np.ndarray          # (n,) float64; NaN where failed
+    measured: np.ndarray         # (n, 4) ranges; NaN where not exchanged
 
     @property
     def success_count(self) -> int:
@@ -227,13 +233,6 @@ def run_iteration(state: WorldState, config: SimConfig,
     measured, failure_code = measure_batch(
         topo.distances_m, topo.feasible, noise, energy, operational,
         config.channel, radio, harvester)
-    error_m = np.full(n, np.nan)
-    success = failure_code == SUCCESS
-    if np.any(success):
-        estimates = trilaterate_batch(
-            topo.anchors, np.maximum(measured[success], 0.0))
-        error_m[success] = norm(
-            estimates - topo.node_true_positions[success])
 
     # Operational phase: reception of one control packet from the nearest
     # controller; silence for '0' bits costs nothing.
@@ -245,8 +244,8 @@ def run_iteration(state: WorldState, config: SimConfig,
     energy[:], operational[:] = harvest_batch(
         energy, operational, config.update_period_s, harvester)
 
-    return IterationResult(success=success, failure_code=failure_code,
-                           error_m=error_m)
+    return IterationResult(success=failure_code == SUCCESS,
+                           failure_code=failure_code, measured=measured)
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
@@ -285,12 +284,26 @@ def run_simulation(config: SimConfig) -> TrialReport:
 
     per_iteration: list[int] = []
     samples: list[np.ndarray] = []
+    measured, truth, pending = [], [], 0     # rows not solved yet
     for t in range(config.iterations):
         rng = substream(config.rng_seed, _ITERATION_STREAM, t)
         result = run_iteration(world, config, rng)
         per_iteration.append(result.success_count)
         if result.success_count:
-            samples.append(result.error_m[result.success])
+            # Boolean indexing copies: a later placement cannot move them.
+            measured.append(result.measured[result.success])
+            truth.append(world.topology.node_true_positions[result.success])
+            pending += result.success_count
+        last = t == config.iterations - 1
+        if pending >= _LOCATE_CHUNK_ROWS or (last and pending):
+            solved = pending if last else pending - pending % _LOCATE_CHUNK_ROWS
+            rows, points = np.concatenate(measured), np.concatenate(truth)
+            measured, truth = [rows[solved:]], [points[solved:]]
+            pending -= solved
+            for start in range(0, solved, _LOCATE_CHUNK_ROWS):
+                chunk = slice(start, min(start + _LOCATE_CHUNK_ROWS, solved))
+                estimates = trilaterate_batch(topology.anchors, rows[chunk])
+                samples.append(norm(estimates - points[chunk]))
 
     errors = (np.concatenate(samples) if samples else np.empty(0))
     successes = int(sum(per_iteration))

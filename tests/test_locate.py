@@ -9,7 +9,7 @@ from nanoloc import locate
 from nanoloc.channel import raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError, LocationEstimate,
                             localization_error, trilaterate, trilaterate_batch)
-from nanoloc.sim import build_topology, default_config
+from nanoloc.sim import _LOCATE_CHUNK_ROWS, build_topology, default_config
 
 L = 21.6e-3
 CORNERS = AnchorSet(positions=np.array([
@@ -265,6 +265,31 @@ class TestRefinementBitExact:
                             _reference_gauss_newton_batch)
         expected = trilaterate_batch(anchors, distances)
         assert np.array_equal(actual, expected)
+
+
+class TestRowIndependence:
+    """A row's estimate must not depend on the other rows of its call:
+    the simulator solves many periods' rows together, in chunks."""
+
+    @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
+    @pytest.mark.parametrize("split", ["single_rows", "uneven", "chunk_rows"])
+    def test_parts_equal_whole(self, anchors, distances, split):
+        if split == "chunk_rows":
+            # Enough rows for two full chunks and a shorter last one.
+            copies = 2 * _LOCATE_CHUNK_ROWS // len(distances) + 2
+            distances = np.tile(distances, (copies, 1))
+            cuts = np.arange(_LOCATE_CHUNK_ROWS, len(distances),
+                             _LOCATE_CHUNK_ROWS)
+        elif split == "single_rows":
+            cuts = np.arange(1, len(distances))
+        else:
+            cuts = np.cumsum([1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233])
+            cuts = cuts[cuts < len(distances)]
+        whole = trilaterate_batch(anchors, distances)
+        parts = [trilaterate_batch(anchors, part)
+                 for part in np.split(distances, cuts)]
+        assert len(parts) > 1
+        assert np.array_equal(whole, np.concatenate(parts))
 
 
 class TestLocalizationError:

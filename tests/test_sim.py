@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from nanoloc import energy as energy_mod
+from nanoloc import sim
 from nanoloc.channel import received_power
 from nanoloc.energy import EnergyState
-from nanoloc.locate import trilaterate
-from nanoloc.sim import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
-                         SimConfig, build_topology, default_config, initial_world,
-                         nearest_rank_percentile, run_iteration, run_simulation,
-                         substream)
+from nanoloc.locate import norm, trilaterate, trilaterate_batch
+from nanoloc.sim import (_LOCATE_CHUNK_ROWS, CODE_LINK_INFEASIBLE,
+                         CODE_NODE_DEPLETED, SUCCESS, SimConfig, build_topology,
+                         default_config, initial_world, nearest_rank_percentile,
+                         run_iteration, run_simulation, substream)
 
 
 def small_config(**overrides):
@@ -83,7 +84,7 @@ class TestRunIteration:
         # A static run keeps its placement and links.
         assert world.topology is topology
         assert result.success.all()
-        assert np.all(np.isfinite(result.error_m))
+        assert np.all(np.isfinite(result.measured))
         # Energy after one period: full localization (4.4 pJ), packet '1'
         # bits at 0.1 pJ each, then five harvesting cycles.
         for i in range(world.topology.node_count):
@@ -100,7 +101,7 @@ class TestRunIteration:
         result = run_iteration(world, config, substream(config.rng_seed, 1, 0))
         assert not result.success.any()
         assert np.all(result.failure_code == CODE_NODE_DEPLETED)
-        assert np.all(np.isnan(result.error_m))
+        assert np.all(np.isnan(result.measured))
 
     def test_out_of_range_node_fails_with_reason(self):
         config = small_config(spacing_m=0.5)  # 1.5 m edge, infeasible links
@@ -247,9 +248,8 @@ class TestEngineMatchesScalarOperations:
         rng = substream(config.rng_seed, 1, 0)
         noise = rng.standard_normal((topology.node_count, 4))
 
-        world = initial_world(config, build_topology(config))
-        result = run_iteration(world, config, substream(config.rng_seed, 1, 0))
-        assert result.success.all()
+        report = run_simulation(config)
+        assert report.successes == topology.node_count
 
         sigma = 2.99792458e8 / config.channel.bandwidth_hz
         anchors = topology.anchors
@@ -260,7 +260,54 @@ class TestEngineMatchesScalarOperations:
             measured = distances + sigma * noise[i]
             est = trilaterate(anchors, np.maximum(measured, 0.0))
             expected_error = float(np.linalg.norm(est.position_m - truth))
-            assert result.error_m[i] == pytest.approx(expected_error, abs=1e-12)
+            assert report.error_samples_m[i] == pytest.approx(expected_error,
+                                                              abs=1e-12)
+
+
+def _per_iteration_errors(config: SimConfig) -> np.ndarray:
+    """Reference error samples: each period's successful rows solved by
+    their own trilaterate_batch call, right after the period."""
+    world = initial_world(config)
+    samples = [np.empty(0)]
+    for t in range(config.iterations):
+        result = run_iteration(world, config, substream(config.rng_seed, 1, t))
+        if result.success.any():
+            estimates = trilaterate_batch(
+                world.topology.anchors,
+                np.maximum(result.measured[result.success], 0.0))
+            truth = world.topology.node_true_positions[result.success]
+            samples.append(norm(estimates - truth))
+    return np.concatenate(samples)
+
+
+class TestDeferredLocalization:
+    @pytest.mark.parametrize("overrides", [
+        # 1152 nodes: every period alone is longer than one chunk.
+        dict(grid_rows=34, grid_cols=34, iterations=3),
+        # Moving nodes; the periods' rows span several chunks.
+        dict(grid_rows=12, grid_cols=12, iterations=40,
+             mobility_resample=True),
+    ])
+    def test_errors_equal_per_iteration_solves(self, overrides):
+        config = default_config(rng_seed=13, **overrides)
+        expected = _per_iteration_errors(config)
+        assert expected.size > 2 * _LOCATE_CHUNK_ROWS
+        report = run_simulation(config)
+        assert np.array_equal(report.error_samples_m, expected)
+
+    def test_chunks_hold_the_row_cap(self, monkeypatch):
+        config = default_config(grid_rows=34, grid_cols=34, iterations=3,
+                                rng_seed=13)
+        calls = []
+
+        def recording(anchors, distances):
+            calls.append(len(distances))
+            return trilaterate_batch(anchors, distances)
+
+        monkeypatch.setattr(sim, "trilaterate_batch", recording)
+        report = run_simulation(config)
+        full, last = divmod(report.successes, _LOCATE_CHUNK_ROWS)
+        assert calls == [_LOCATE_CHUNK_ROWS] * full + ([last] if last else [])
 
 
 class TestRunSimulation:
