@@ -409,8 +409,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             emit_results(rows, args.out, args.format)
         else:
             print(format_summary(rows))
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

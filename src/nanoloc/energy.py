@@ -92,8 +92,7 @@ class HarvesterParams:
 class EnergyState:
     """Stored energy plus the operational (hysteresis) flag.
 
-    A small value type: all operations return new instances, so states can
-    be shared freely across threads.
+    A small value type: all operations return new instances.
     """
 
     energy_pj: float

@@ -98,10 +98,13 @@ class TestReceivedPower:
         assert all(a < b for a, b in zip(losses, losses[1:]))
 
     def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            received_power(params(), 0.0)
-        with pytest.raises(ValueError):
-            received_power(params(), -1.0)
+        # Zero, negative and NaN distances, alone and as one entry of a
+        # batch, share the link budget's one check.
+        for distance in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                received_power(params(), distance)
+            with pytest.raises(ValueError):
+                received_power_batch(params(), np.array([1e-3, distance]))
 
     def test_batch_matches_scalar(self):
         chan = params(absorption_table=((5e11, 0.4), (2e12, 1.3)))

@@ -18,7 +18,7 @@ from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, ConfigurationError,
                          config_from_mapping, emit_results, format_summary,
                          load_config, load_sweep, main, parse_result_csv,
                          run_sweep, sweep_point_seed)
-from nanoloc.sim import default_config, run_simulation
+from nanoloc.sim import SimConfig, default_config, run_simulation
 
 
 def write_json(path, payload):
@@ -168,6 +168,20 @@ class TestApplySweptParameter:
         config = default_config()
         apply_swept_parameter(config, "bandwidth_hz", 1e11)
         assert config.channel.bandwidth_hz == 1e12
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("sweep_path", sorted(CONFIGS.glob("sweep_*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_sweep_configs_load(sweep_path):
+    # Loading only: every swept value must give a valid config.
+    base = load_config(CONFIGS / "default.json")
+    sweep = load_sweep(sweep_path)
+    for value in sweep.values:
+        config = apply_swept_parameter(base, sweep.parameter_name, value)
+        assert isinstance(config, SimConfig)
 
 
 def tiny_config(**overrides):
@@ -400,6 +414,18 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: config key 'iterations'")
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # An oversized grid makes numpy raise MemoryError; raise it directly
+        # so the test allocates nothing.
+        def run_simulation(config):
+            raise MemoryError("Unable to allocate 224. GiB")
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        code = main(["run", "--config", str(self.config_path(tmp_path))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
 
 
 class TestModuleEntryPoint:
