@@ -7,6 +7,11 @@ from the mean squared range residual, taking the root on the modeled side
 of the anchor plane (nodes live above it).  The linear estimate is then
 refined by damped Gauss-Newton iterations on the full nonlinear range
 residuals.
+
+The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks and sums
+(dx*dx + dy*dy) + dz*dz, add.reduce's left-to-right order over an axis shorter
+than 8, so ranges keep norm()'s bits.  J^T and J are separate C-ordered stacks:
+J^T @ J on one buffer runs as BLAS syrk per 3x3 product, on two as faster gemm.
 """
 
 from __future__ import annotations
@@ -143,34 +148,9 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
         raise ValueError("distances_m must have shape (m, 4)")
     if d.shape[0] == 0:
         return np.empty((0, 3))
-    pos = anchors.positions
-    a0 = pos[0]
-    lhs = anchors.reduced_lhs                            # (3, 3)
-    rhs = (d[:, 0:1] ** 2 - d[:, 1:] ** 2
-           + np.sum(pos[1:] ** 2, axis=1)[None, :]
-           - float(np.sum(a0 ** 2)))                     # (m, 3)
-
-    if anchors.coplanar_z:
-        if anchors.reduced_rank < 2:
-            raise DegenerateGeometryError(
-                "anchor geometry does not determine a horizontal position")
-        xy, *_ = np.linalg.lstsq(lhs[:, :2], rhs.T, rcond=None)
-        xy = xy.T                                        # (m, 2)
-        # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
-        # height above the anchor plane; noise can push it negative, in
-        # which case the node is projected onto the plane.
-        dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
-        z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
-        estimate = np.column_stack([xy, anchors.z_plane_m + z_off])
-    else:
-        if anchors.reduced_rank < 3:
-            raise DegenerateGeometryError(
-                "anchor geometry does not determine a 3D position")
-        sol, *_ = np.linalg.lstsq(lhs, rhs.T, rcond=None)
-        estimate = sol.T
-
+    estimate = _linear_estimate(anchors, d)
     if refine:
-        estimate = _gauss_newton_batch(pos, d, estimate)
+        estimate = _gauss_newton_batch(anchors.positions, d, estimate)
     if anchors.coplanar_z:
         # The mirror image below the anchor plane has identical residuals;
         # keep the modeled half-space.
@@ -179,9 +159,39 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     return estimate
 
 
+def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
+    """(m, 3) linear estimate; its temporaries die before the refinement."""
+    pos = anchors.positions
+    lhs = anchors.reduced_lhs                            # (3, 3)
+    rhs = (d[:, 0:1] ** 2 - d[:, 1:] ** 2
+           + np.sum(pos[1:] ** 2, axis=1)[None, :]
+           - float(np.sum(pos[0] ** 2)))                 # (m, 3)
+
+    if anchors.coplanar_z:
+        if anchors.reduced_rank < 2:
+            raise DegenerateGeometryError(
+                "anchor geometry does not determine a horizontal position")
+        xy = np.linalg.lstsq(lhs[:, :2], rhs.T, rcond=None)[0].T  # (m, 2)
+        # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
+        # height above the anchor plane; noise can push it negative, in
+        # which case the node is projected onto the plane.
+        dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
+        z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
+        return np.column_stack([xy, anchors.z_plane_m + z_off])
+    if anchors.reduced_rank < 3:
+        raise DegenerateGeometryError(
+            "anchor geometry does not determine a 3D position")
+    return np.linalg.lstsq(lhs, rhs.T, rcond=None)[0].T
+
+
 def norm(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=-1), same arithmetic, less call overhead."""
     return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """norm() of vectors given as components, in add.reduce's order."""
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
@@ -198,51 +208,54 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
     """
     out = p0.copy()
     rows = np.arange(p0.shape[0])        # output row of each working row
-    # C order: the bits of the stacked products follow the Jacobian's layout.
-    p = np.ascontiguousarray(p0)
-    diff = p[:, None, :] - anchor_pos
-    dist = norm(diff)
+    anchors = anchor_pos.T[:, None, :]   # (3, 1, 4)
+    p = np.ascontiguousarray(p0.T)       # (3, k): x, y and z rows
+    diff = p[:, :, None] - anchors       # (3, k, 4)
+    dist = _norm3(*diff)
     res = dist - d
     for _ in range(_GN_MAX_ITERATIONS):
         if rows.size == 0:
             break
-        jac = np.divide(diff, np.maximum(dist[:, :, None], 1e-18), out=diff)
+        jt = np.ascontiguousarray(np.divide(
+            diff, np.maximum(dist, 1e-18), out=diff).transpose(1, 0, 2))
+        jac = np.ascontiguousarray(jt.transpose(0, 2, 1))
+        hess, grad = jt @ jac, (res[:, None, :] @ jac).reshape(-1, 3, 1)
+        del diff, jt, jac            # memory: the solve is the peak
         # Damped normal equations; the damping keeps the solve regular for
         # the rank-deficient Jacobian of points on the anchor plane while
         # staying far below the 1e-9 m step tolerance.
-        jt = np.swapaxes(jac, 1, 2)
-        hess = jt @ jac + _GN_DAMPING
-        grad = (jt @ res[:, :, None])
-        step = -np.linalg.solve(hess, grad)[:, :, 0]
-        del jac, jt, hess, grad      # memory (jac reused diff's buffer)
+        hess += _GN_DAMPING
+        step = -np.linalg.solve(hess, grad)[:, :, 0].T
 
         # From here on diff, dist and res describe the trial positions.
         cost = np.add.reduce(res * res, axis=-1)
         trial_p = p + step
-        diff = trial_p[:, None, :] - anchor_pos
-        dist = norm(diff)
+        diff = trial_p[:, :, None] - anchors
+        dist = _norm3(*diff)
         res = dist - d
         accepted = np.add.reduce(res * res, axis=-1) < cost
         rejected = np.flatnonzero(~accepted)
         if rejected.size:
-            halved_p = (p[rejected, None, :]
-                        + _GN_HALVED_SCALES[:, None] * step[rejected, None, :])
-            halved_diff = halved_p[:, :, None, :] - anchor_pos
-            halved_dist = norm(halved_diff)
+            halved_p = (p[:, rejected, None]
+                        + _GN_HALVED_SCALES * step[:, rejected, None])
+            halved_diff = halved_p[:, :, :, None] - anchors[:, None]
+            halved_dist = _norm3(*halved_diff)
             halved_res = halved_dist - d[rejected, None, :]
             lower = (np.add.reduce(halved_res * halved_res, axis=-1)
                      < cost[rejected, None])
             found = lower.any(axis=1)
             first = lower[found].argmax(axis=1)
             taken = rejected[found]
-            trial_p[taken] = halved_p[found, first]
-            diff[taken] = halved_diff[found, first]
+            trial_p[:, taken] = halved_p[:, found, first]
+            diff[:, taken] = halved_diff[:, found, first]
             dist[taken] = halved_dist[found, first]
             res[taken] = halved_res[found, first]
             accepted[taken] = True
+            del halved_p, halved_diff, halved_dist, halved_res
 
-        out[rows[accepted]] = trial_p[accepted]
-        moving = accepted & (norm(trial_p - p) >= _GN_STEP_TOL_M)
-        p, diff, dist, res, d, rows = (
-            a[moving] for a in (trial_p, diff, dist, res, d, rows))
+        out[rows[accepted]] = trial_p[:, accepted].T
+        keep = np.flatnonzero(accepted & (_norm3(*(trial_p - p)) >= _GN_STEP_TOL_M))
+        p, diff = trial_p.take(keep, 1), diff.take(keep, 1)
+        dist, res, d, rows = (a.take(keep, 0) for a in (dist, res, d, rows))
+        del hess, grad, step, cost, trial_p, accepted, keep
     return out

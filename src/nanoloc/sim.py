@@ -306,6 +306,8 @@ def run_simulation(config: SimConfig) -> TrialReport:
                 samples.append(norm(estimates - points[chunk]))
 
     errors = (np.concatenate(samples) if samples else np.empty(0))
+    if not np.all(np.isfinite(errors)):
+        raise ValueError("non-finite localization error: c/B range noise overflows")
     successes = int(sum(per_iteration))
     attempts = n * config.iterations
     return TrialReport(

@@ -415,6 +415,21 @@ class TestMain:
         assert code == 1
         assert captured.err.startswith("error: config key 'iterations'")
 
+    @pytest.mark.parametrize("bandwidth_hz", [1e-300, 1e-140])
+    def test_non_finite_errors_are_an_error(self, tmp_path, capsys,
+                                            bandwidth_hz):
+        # c/B range noise this large overflows the squared ranges; the
+        # run must fail instead of reporting n/a errors as successes.
+        config = write_json(tmp_path / "config.json", {
+            "grid_rows": 3, "grid_cols": 3, "iterations": 1,
+            "bandwidth_hz": bandwidth_hz})
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: non-finite localization error")
+        assert captured.out == ""
+
     def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
         # An oversized grid makes numpy raise MemoryError; raise it directly
         # so the test allocates nothing.

@@ -8,7 +8,8 @@ import pytest
 from nanoloc import locate
 from nanoloc.channel import raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError, LocationEstimate,
-                            localization_error, trilaterate, trilaterate_batch)
+                            localization_error, norm, trilaterate,
+                            trilaterate_batch)
 from nanoloc.sim import _LOCATE_CHUNK_ROWS, build_topology, default_config
 
 L = 21.6e-3
@@ -265,6 +266,33 @@ class TestRefinementBitExact:
                             _reference_gauss_newton_batch)
         expected = trilaterate_batch(anchors, distances)
         assert np.array_equal(actual, expected)
+
+
+class TestNumpyOrder:
+    """Two numpy behaviours the refinement's bits rest on.  If numpy changes
+    either, TestRefinementBitExact fails; these say which assumption broke."""
+
+    def test_norm_sums_components_left_to_right(self):
+        rng = np.random.default_rng(31)
+        v = rng.standard_normal((100_000, 3)) * 10.0 ** rng.uniform(-6, 2, (100_000, 3))
+        x, y, z = v.T
+        assert np.array_equal(norm(v), np.sqrt((x * x + y * y) + z * z)), (
+            "numpy's add.reduce no longer sums a length-3 axis left to right: "
+            "locate._norm3 must change its order to keep norm()'s bits")
+
+    def test_contiguous_transpose_product_equals_swapaxes_view(self):
+        rng = np.random.default_rng(32)
+        jac = rng.standard_normal((1024, 4, 3)) * 10.0 ** rng.uniform(-3, 3, (1024, 4, 1))
+        jt = np.ascontiguousarray(np.swapaxes(jac, 1, 2))
+        assert np.array_equal(jt @ jac, np.swapaxes(jac, 1, 2) @ jac), (
+            "J^T @ J on a contiguous transpose (BLAS gemm) no longer equals "
+            "the swapaxes view product (syrk): the Hessian stacks in "
+            "locate._gauss_newton_batch must change to keep their bits")
+        res = rng.standard_normal((1024, 4))
+        assert np.array_equal((res[:, None, :] @ jac)[:, 0, :],
+                              (np.swapaxes(jac, 1, 2) @ res[:, :, None])[:, :, 0]), (
+            "r @ J no longer equals J^T @ r bit for bit: the gradient in "
+            "locate._gauss_newton_batch must change to keep its bits")
 
 
 class TestRowIndependence:
