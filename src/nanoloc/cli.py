@@ -341,30 +341,6 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
     print(format_summary(rows))
 
 
-def parse_result_csv(path: str | Path) -> list[ResultRow]:
-    """Read back a results CSV produced by emit_results."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty results file {path}")
-        if tuple(header) != RESULT_FIELDS:
-            raise ValueError(f"unexpected results header: {header!r}")
-        rows = []
-        for record in reader:
-            rows.append(ResultRow(
-                parameter_name=record[0],
-                parameter_value=float(record[1]),
-                seed=int(record[2]),
-                mean_error_m=float(record[3]),
-                p90_error_m=float(record[4]),
-                availability=float(record[5]),
-                attempts=int(record[6]),
-                successes=int(record[7]),
-            ))
-    return rows
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nanoloc",

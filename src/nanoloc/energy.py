@@ -88,17 +88,6 @@ class HarvesterParams:
         return max(self.turn_on_threshold_pj, self.turn_off_threshold_pj)
 
 
-@dataclass(frozen=True)
-class EnergyState:
-    """Stored energy plus the operational (hysteresis) flag.
-
-    A small value type: all operations return new instances.
-    """
-
-    energy_pj: float
-    operational: bool
-
-
 def _cycle_positions(energy_pj: np.ndarray,
                      params: HarvesterParams) -> np.ndarray:
     """Cycle index of each energy level below max_storage_pj, as floats.
@@ -141,53 +130,13 @@ def energy_at_cycle(n_cycle: int, params: HarvesterParams) -> float:
     return params.max_storage_pj * charged * charged
 
 
-def harvest(state: EnergyState, elapsed_s: float,
-            params: HarvesterParams) -> EnergyState:
-    """Advance the charging curve by the whole cycles within elapsed_s.
-
-    Fractional cycle remainders are discarded.  Harvesting applies whether
-    or not the node is operational; the flag turns back on once the energy
-    reaches the effective turn-on threshold.  Zero whole cycles leave the
-    state unchanged.  A one-node harvest_batch.
-    """
-    energy, operational = harvest_batch(np.array([state.energy_pj]),
-                                        np.array([state.operational]),
-                                        elapsed_s, params)
-    return EnergyState(float(energy[0]), bool(operational[0]))
-
-
-def consume(state: EnergyState, amount_pj: float,
-            params: HarvesterParams) -> EnergyState:
-    """Debit amount_pj, clamping at zero.
-
-    Falling below the turn-off threshold trips the operational flag.
-    Feasibility is the caller's job (can_afford); consume itself is total.
-    """
-    if amount_pj < 0:
-        raise ValueError("amount_pj must be >= 0")
-    energy = max(0.0, state.energy_pj - amount_pj)
-    operational = state.operational and energy >= params.turn_off_threshold_pj
-    return EnergyState(energy, operational)
-
-
-def can_afford(state: EnergyState, amount_pj: float) -> bool:
-    """True when the node is operational and holds at least amount_pj.
-
-    No safety margin is applied: drawing the full stored energy is allowed
-    and the turn-off threshold check happens after consumption.
-    """
-    if amount_pj < 0:
-        raise ValueError("amount_pj must be >= 0")
-    return state.operational and state.energy_pj >= amount_pj
-
-
 def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
                 cost_pj: float | np.ndarray, payers: np.ndarray,
                 params: HarvesterParams) -> np.ndarray:
-    """can_afford then consume over node arrays, debited in place.
+    """Debit cost_pj (a scalar or one cost per node) in place.
 
-    Each payer that can afford cost_pj (a scalar or one cost per node)
-    pays it, and a payer left below the turn-off threshold turns off.
+    A payer that is operational and holds at least cost_pj (the full store
+    may be drawn) pays it; one left below the turn-off threshold turns off.
     Returns the mask of nodes that paid; the others are untouched.
     """
     paid = payers & operational & (energy_pj >= cost_pj)
@@ -199,9 +148,12 @@ def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
 def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
                   elapsed_s: float, params: HarvesterParams
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """harvest() over node arrays.
+    """Advance each node's charging curve by the whole cycles within
+    elapsed_s; fractional remainders are discarded.
 
-    Returns new (energy, operational) arrays; inputs are not modified.
+    Harvesting applies whether or not a node is operational; its flag
+    turns back on at the effective turn-on threshold.  Returns new
+    (energy, operational) arrays; inputs are not modified.
     """
     if elapsed_s < 0:
         raise ValueError("elapsed_s must be >= 0")

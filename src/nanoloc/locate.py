@@ -92,17 +92,9 @@ class AnchorSet:
         return float(self.positions[0, 2])
 
 
-@dataclass(frozen=True)
-class LocationEstimate:
-    """Estimated position and the RMS range residual at that position."""
-
-    position_m: np.ndarray
-    residual_m: float
-
-
-def trilaterate(anchors: AnchorSet, distances_m: Sequence[float] | np.ndarray,
-                refine: bool = True) -> LocationEstimate:
-    """Estimate a 3D position from four range measurements.
+def trilaterate(anchors: AnchorSet, distances_m: Sequence[float] | np.ndarray
+                ) -> np.ndarray:
+    """Estimate a 3D position, shape (3,), from four range measurements.
 
     Negative measurements (possible under heavy noise) are clamped to
     zero.  Raises DegenerateGeometryError when the reduced linear system
@@ -113,22 +105,14 @@ def trilaterate(anchors: AnchorSet, distances_m: Sequence[float] | np.ndarray,
         raise ValueError("distances_m must contain exactly 4 values")
     if not np.all(np.isfinite(d)):
         raise ValueError("distances_m must be finite")
-    positions = trilaterate_batch(anchors, d[None, :], refine=refine)
-    position = positions[0]
-    residual = float(np.sqrt(np.mean(
-        (np.linalg.norm(position[None, :] - anchors.positions, axis=1) - np.maximum(d, 0.0)) ** 2)))
-    return LocationEstimate(position_m=position, residual_m=residual)
+    return trilaterate_batch(anchors, d[None, :])[0]
 
 
 def localization_error(true_position_m: Sequence[float] | np.ndarray,
-                       estimate: LocationEstimate | Sequence[float] | np.ndarray
-                       ) -> float:
+                       estimate: Sequence[float] | np.ndarray) -> float:
     """Euclidean distance between the true and estimated positions."""
-    if isinstance(estimate, LocationEstimate):
-        estimated = estimate.position_m
-    else:
-        estimated = np.asarray(estimate, dtype=np.float64)
     true_pos = np.asarray(true_position_m, dtype=np.float64)
+    estimated = np.asarray(estimate, dtype=np.float64)
     if true_pos.shape != (3,) or estimated.shape != (3,):
         raise ValueError("positions must be 3D points")
     if not (np.all(np.isfinite(true_pos)) and np.all(np.isfinite(estimated))):

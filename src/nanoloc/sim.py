@@ -23,7 +23,7 @@ per-iteration substream, so a run is a pure function of its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,11 +125,6 @@ class SimConfig:
     def edge_length_m(self) -> float:
         """Distance d between two corner controllers on the same edge."""
         return (self.grid_cols - 1) * self.spacing_m
-
-
-def default_config(**overrides) -> SimConfig:
-    """SimConfig with all defaults, selected fields overridden."""
-    return replace(SimConfig(), **overrides) if overrides else SimConfig()
 
 
 @dataclass(frozen=True)
@@ -304,10 +299,11 @@ def run_simulation(config: SimConfig) -> TrialReport:
                 chunk = slice(start, min(start + _LOCATE_CHUNK_ROWS, solved))
                 estimates = trilaterate_batch(topology.anchors, rows[chunk])
                 samples.append(norm(estimates - points[chunk]))
+                if not np.all(np.isfinite(samples[-1])):
+                    raise ValueError("non-finite localization error: "
+                                     "c/B range noise overflows")
 
     errors = (np.concatenate(samples) if samples else np.empty(0))
-    if not np.all(np.isfinite(errors)):
-        raise ValueError("non-finite localization error: c/B range noise overflows")
     successes = int(sum(per_iteration))
     attempts = n * config.iterations
     return TrialReport(

@@ -1,7 +1,7 @@
 """Acceptance suite: end-to-end reproduction targets and oracle gates.
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
-them) and then asserts.  Full-scale runs (621 mobile nodes x 1000
+them) and then asserts.  Full-scale runs (621 static nodes x 1000
 iterations) are cached per (parameter overrides, seed) and shared
 between criteria.
 """
@@ -13,21 +13,10 @@ from nanoloc.channel import raw_resolution, received_power
 from nanoloc.cli import apply_swept_parameter, main
 from nanoloc.energy import cycle_index, energy_at_cycle
 from nanoloc.locate import AnchorSet, localization_error, trilaterate
-from nanoloc.sim import (build_topology, default_config, default_harvester,
+from nanoloc.sim import (SimConfig, build_topology, default_harvester,
                          run_simulation)
 
 pytestmark = pytest.mark.acceptance
-
-# Values identical to the shipped defaults are dropped from cache keys so
-# equivalent runs are shared between criteria.
-_SWEEP_DEFAULTS = {
-    "frequency_hz": 1e12,
-    "bandwidth_hz": 1e12,
-    "sensitivity_dbm": -100.0,
-    "charge_per_cycle_pc": 6.0,
-    "update_period_s": 0.1,
-    "spacing_m": 0.9e-3,
-}
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +25,13 @@ def run_cache():
 
 
 def full_run(cache, seed, **overrides):
-    key = tuple(sorted((k, v) for k, v in overrides.items()
-                       if v != _SWEEP_DEFAULTS[k])) + (seed,)
+    # Values that leave the shipped defaults unchanged are dropped from the
+    # cache key so equivalent runs are shared between criteria.
+    key = tuple(sorted(
+        (k, v) for k, v in overrides.items()
+        if apply_swept_parameter(SimConfig(), k, v) != SimConfig())) + (seed,)
     if key not in cache:
-        config = default_config(rng_seed=seed)
+        config = SimConfig(rng_seed=seed)
         for name, value in overrides.items():
             config = apply_swept_parameter(config, name, value)
         cache[key] = run_simulation(config)
@@ -129,7 +121,7 @@ def reachable_share(seed, frequency_hz):
     """Share of the seed's nodes that the link budget reaches from all
     four controllers at frequency_hz (default geometry, static topology),
     by the simulator's own link verdict."""
-    config = apply_swept_parameter(default_config(rng_seed=seed),
+    config = apply_swept_parameter(SimConfig(rng_seed=seed),
                                    "frequency_hz", frequency_hz)
     return float(np.mean(build_topology(config).feasible.all(axis=1)))
 
@@ -217,7 +209,7 @@ def test_criterion_08_trilateration_oracles():
         point = rng.uniform([0, 0, 0], [side, side, side / 2])
         exact = np.linalg.norm(point[None, :] - anchors.positions, axis=1)
         estimate = trilaterate(anchors, exact)
-        worst = max(worst, float(np.linalg.norm(estimate.position_m - point)))
+        worst = max(worst, float(np.linalg.norm(estimate - point)))
     ok_zero_noise = worst < 1e-9
 
     ok_metric = localization_error([0, 0, 0], [3e-3, 4e-3, 0.0]) == \
@@ -226,8 +218,8 @@ def test_criterion_08_trilateration_oracles():
     above = np.array([side / 2, side / 2, side / 4])
     exact = np.linalg.norm(above[None, :] - anchors.positions, axis=1)
     mirrored = trilaterate(anchors, exact)
-    ok_mirror = (np.linalg.norm(mirrored.position_m - above) < 1e-9
-                 and mirrored.position_m[2] > 0)
+    ok_mirror = (np.linalg.norm(mirrored - above) < 1e-9
+                 and mirrored[2] > 0)
     detail = (f"zero-noise worst error={worst:.2e} m < 1e-9: {ok_zero_noise}; "
               f"3-4-5 metric: {ok_metric}; mirror test: {ok_mirror}")
     report_line(8, "trilateration oracle suite",
@@ -238,7 +230,7 @@ def test_criterion_08_trilateration_oracles():
 
 
 def test_criterion_09_link_budget_goldens():
-    config = default_config()
+    config = SimConfig()
     short = received_power(config.channel, 0.9e-3).spreading_loss_db
     long = received_power(config.channel, 21.6e-3).spreading_loss_db
     ok_short = abs(short - 31.53) <= 0.01

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nanoloc import cli
+from nanoloc import cli, sim
 from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, ConfigurationError,
                          ResultRow, SweepSpec, apply_swept_parameter,
                          config_from_mapping, emit_results, format_summary,
-                         load_config, load_sweep, main, parse_result_csv,
-                         run_sweep, sweep_point_seed)
-from nanoloc.sim import SimConfig, default_config, run_simulation
+                         load_config, load_sweep, main, run_sweep,
+                         sweep_point_seed)
+from nanoloc.sim import SimConfig, run_simulation
+from oracles import parse_result_csv
 
 
 def write_json(path, payload):
@@ -31,7 +32,7 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text("", encoding="utf-8")
         config = load_config(path)
-        reference = default_config()
+        reference = SimConfig()
         assert config == reference
         assert config.update_period_s == 0.1
         assert config.channel.bandwidth_hz == 1e12
@@ -39,12 +40,12 @@ class TestLoadConfig:
 
     def test_empty_object_gives_defaults(self, tmp_path):
         path = write_json(tmp_path / "config.json", {})
-        assert load_config(path) == default_config()
+        assert load_config(path) == SimConfig()
 
     def test_single_override(self, tmp_path):
         path = write_json(tmp_path / "config.json", {"charge_per_cycle_pc": 10})
         config = load_config(path)
-        reference = default_config()
+        reference = SimConfig()
         assert config.harvester.charge_per_cycle_pc == 10.0
         assert dataclasses.replace(
             config, harvester=reference.harvester) == reference
@@ -91,7 +92,7 @@ class TestLoadConfig:
     def test_all_keys_accepted(self, tmp_path):
         payload = {k: v for k, v in CONFIG_DEFAULTS.items() if v is not None}
         path = write_json(tmp_path / "config.json", payload)
-        assert load_config(path) == default_config()
+        assert load_config(path) == SimConfig()
 
 
 class TestLoadSweep:
@@ -146,7 +147,7 @@ class TestLoadSweep:
 
 class TestApplySweptParameter:
     def test_each_parameter_lands(self):
-        config = default_config()
+        config = SimConfig()
         assert apply_swept_parameter(
             config, "frequency_hz", 2e12).channel.frequency_hz == 2e12
         assert apply_swept_parameter(
@@ -162,10 +163,10 @@ class TestApplySweptParameter:
 
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError, match="antenna_gain"):
-            apply_swept_parameter(default_config(), "antenna_gain", 1.0)
+            apply_swept_parameter(SimConfig(), "antenna_gain", 1.0)
 
     def test_original_config_untouched(self):
-        config = default_config()
+        config = SimConfig()
         apply_swept_parameter(config, "bandwidth_hz", 1e11)
         assert config.channel.bandwidth_hz == 1e12
 
@@ -187,7 +188,7 @@ def test_shipped_sweep_configs_load(sweep_path):
 def tiny_config(**overrides):
     base = dict(grid_rows=5, grid_cols=4, iterations=25, rng_seed=2)
     base.update(overrides)
-    return default_config(**base)
+    return SimConfig(**base)
 
 
 class TestRunSweep:
@@ -312,12 +313,6 @@ class TestEmitResults:
         with pytest.raises(OSError):
             emit_results(self.rows(), "/nonexistent-dir/results.csv", "csv")
 
-    def test_parse_empty_results_file(self, tmp_path):
-        empty = tmp_path / "results.csv"
-        empty.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError, match="empty results file"):
-            parse_result_csv(empty)
-
     def test_summary_contains_all_rows(self):
         rows = self.rows()
         summary = format_summary(rows)
@@ -429,6 +424,29 @@ class TestMain:
         assert code == 1
         assert captured.err.startswith("error: non-finite localization error")
         assert captured.out == ""
+
+    def test_non_finite_error_stops_at_first_chunk(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The 5 nodes fill the first trilateration chunk at period 205; the
+        # run must fail there instead of simulating all 1000 periods.
+        calls = []
+        run_iteration = sim.run_iteration
+
+        def counting(*args):
+            calls.append(None)
+            return run_iteration(*args)
+
+        monkeypatch.setattr(sim, "run_iteration", counting)
+        config = write_json(tmp_path / "config.json", {
+            "grid_rows": 3, "grid_cols": 3, "iterations": 1000,
+            "bandwidth_hz": 1e-300})
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: non-finite localization error")
+        assert captured.out == ""
+        assert 0 < len(calls) < 1000
 
     def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
         # An oversized grid makes numpy raise MemoryError; raise it directly

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from nanoloc.energy import (EnergySaturationError, EnergyState, can_afford,
-                            consume, cycle_index, energy_at_cycle, harvest,
-                            harvest_batch, spend_batch)
+from nanoloc.energy import (EnergySaturationError, cycle_index,
+                            energy_at_cycle, harvest_batch, spend_batch)
 from nanoloc.sim import default_harvester
+from oracles import EnergyState, can_afford, consume, harvest
 
 
 def default_params(**overrides):

@@ -7,10 +7,10 @@ import pytest
 
 from nanoloc import locate
 from nanoloc.channel import raw_resolution
-from nanoloc.locate import (AnchorSet, DegenerateGeometryError, LocationEstimate,
+from nanoloc.locate import (AnchorSet, DegenerateGeometryError,
                             localization_error, norm, trilaterate,
                             trilaterate_batch)
-from nanoloc.sim import _LOCATE_CHUNK_ROWS, build_topology, default_config
+from nanoloc.sim import _LOCATE_CHUNK_ROWS, SimConfig, build_topology
 
 L = 21.6e-3
 CORNERS = AnchorSet(positions=np.array([
@@ -29,31 +29,26 @@ class TestExactRecovery:
     def test_center_on_anchor_plane(self):
         point = np.array([L / 2, L / 2, 0.0])
         est = trilaterate(CORNERS, exact_distances(CORNERS, point))
-        assert np.linalg.norm(est.position_m - point) < 1e-9
+        assert np.linalg.norm(est - point) < 1e-9
 
     def test_mirror_ambiguity_resolved_upward(self):
         point = np.array([L / 2, L / 2, L / 4])
         est = trilaterate(CORNERS, exact_distances(CORNERS, point))
-        assert np.linalg.norm(est.position_m - point) < 1e-9
-        assert est.position_m[2] > 0
+        assert np.linalg.norm(est - point) < 1e-9
+        assert est[2] > 0
 
     def test_random_nodes_in_half_space(self):
         rng = np.random.default_rng(21)
         for _ in range(1000):
             point = rng.uniform([0, 0, 0], [L, L, L / 2])
             est = trilaterate(CORNERS, exact_distances(CORNERS, point))
-            assert np.linalg.norm(est.position_m - point) < 1e-9
-
-    def test_residual_near_zero_on_exact_input(self):
-        rng = np.random.default_rng(22)
-        point = rng.uniform([0, 0, 0], [L, L, L / 2])
-        est = trilaterate(CORNERS, exact_distances(CORNERS, point))
-        assert est.residual_m < 1e-9
+            assert np.linalg.norm(est - point) < 1e-9
 
     def test_refine_off_still_exact(self):
         point = np.array([3e-3, 15e-3, 7e-3])
-        est = trilaterate(CORNERS, exact_distances(CORNERS, point), refine=False)
-        assert np.linalg.norm(est.position_m - point) < 1e-9
+        est = trilaterate_batch(CORNERS, exact_distances(CORNERS, point)[None, :],
+                                refine=False)[0]
+        assert np.linalg.norm(est - point) < 1e-9
 
     def test_noncoplanar_anchors(self):
         anchors = AnchorSet(positions=np.array([
@@ -66,7 +61,7 @@ class TestExactRecovery:
         for _ in range(50):
             point = rng.uniform([0, 0, -L], [L, L, L])
             est = trilaterate(anchors, exact_distances(anchors, point))
-            assert np.linalg.norm(est.position_m - point) < 1e-9
+            assert np.linalg.norm(est - point) < 1e-9
 
 
 class TestEquivariance:
@@ -85,9 +80,8 @@ class TestEquivariance:
         base = trilaterate(CORNERS, noisy)
         moved = AnchorSet(positions=CORNERS.positions @ rot.T + shift)
         transformed = trilaterate(moved, noisy)
-        expected = base.position_m @ rot.T + shift
-        assert np.linalg.norm(transformed.position_m - expected) < 1e-9
-        assert transformed.residual_m == pytest.approx(base.residual_m, abs=1e-12)
+        expected = base @ rot.T + shift
+        assert np.linalg.norm(transformed - expected) < 1e-9
 
 
 class TestDegenerateGeometry:
@@ -128,8 +122,8 @@ class TestNoisyInput:
         d = exact_distances(CORNERS, point)
         d[0] = -2e-4
         est = trilaterate(CORNERS, d)
-        assert np.all(np.isfinite(est.position_m))
-        assert est.position_m[2] >= 0.0
+        assert np.all(np.isfinite(est))
+        assert est[2] >= 0.0
 
     def test_z_clamped_into_half_space(self):
         rng = np.random.default_rng(25)
@@ -138,7 +132,7 @@ class TestNoisyInput:
             point = rng.uniform([0, 0, 0], [L, L, L / 2])
             noisy = exact_distances(CORNERS, point) + sigma * rng.standard_normal(4)
             est = trilaterate(CORNERS, noisy)
-            assert est.position_m[2] >= 0.0
+            assert est[2] >= 0.0
 
     def test_refinement_does_not_hurt_accuracy(self):
         rng = np.random.default_rng(26)
@@ -149,9 +143,8 @@ class TestNoisyInput:
             point = rng.uniform([0, 0, 0], [L, L, L / 2])
             noisy = exact_distances(CORNERS, point) + sigma * rng.standard_normal(4)
             plain.append(np.linalg.norm(
-                trilaterate(CORNERS, noisy, refine=False).position_m - point))
-            refined.append(np.linalg.norm(
-                trilaterate(CORNERS, noisy, refine=True).position_m - point))
+                trilaterate_batch(CORNERS, noisy[None, :], refine=False)[0] - point))
+            refined.append(np.linalg.norm(trilaterate(CORNERS, noisy) - point))
         assert np.mean(refined) <= np.mean(plain) * 1.05
 
     def test_batch_matches_scalar(self):
@@ -162,7 +155,7 @@ class TestNoisyInput:
         batch = trilaterate_batch(CORNERS, dmat)
         for i in range(64):
             single = trilaterate(CORNERS, dmat[i])
-            assert np.linalg.norm(batch[i] - single.position_m) < 1e-12
+            assert np.linalg.norm(batch[i] - single) < 1e-12
 
 
 def _reference_range_residuals(anchor_pos, d, p):
@@ -222,7 +215,7 @@ def _reference_gauss_newton_batch(anchor_pos, d, p0):
 
 def _bit_exact_corpus():
     """(anchors, distances) cases covering every line-search path."""
-    config = default_config()
+    config = SimConfig()
     topology = build_topology(config)
     anchors = topology.anchors
     pos = anchors.positions
@@ -331,10 +324,6 @@ class TestLocalizationError:
     def test_unit_diagonal(self):
         assert localization_error([1e-3, 1e-3, 1e-3], [2e-3, 2e-3, 2e-3]) == \
             pytest.approx(math.sqrt(3) * 1e-3, rel=1e-12)
-
-    def test_accepts_location_estimate(self):
-        est = LocationEstimate(position_m=np.array([1.0, 0.0, 0.0]), residual_m=0.0)
-        assert localization_error([0.0, 0.0, 0.0], est) == pytest.approx(1.0)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(28)

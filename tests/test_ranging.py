@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nanoloc.channel import raw_resolution, received_power_batch
-from nanoloc.energy import EnergyState
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
                              RadioParams, measure_batch)
 from nanoloc.sim import default_channel, default_harvester
+from oracles import EnergyState
 
 
 def harvester(**overrides):

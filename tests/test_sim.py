@@ -10,26 +10,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nanoloc import energy as energy_mod
+import oracles
 from nanoloc import sim
 from nanoloc.channel import received_power
-from nanoloc.energy import EnergyState
 from nanoloc.locate import norm, trilaterate, trilaterate_batch
 from nanoloc.sim import (_LOCATE_CHUNK_ROWS, CODE_LINK_INFEASIBLE,
                          CODE_NODE_DEPLETED, SUCCESS, SimConfig, build_topology,
-                         default_config, initial_world, nearest_rank_percentile,
-                         run_iteration, run_simulation, substream)
+                         initial_world, nearest_rank_percentile, run_iteration,
+                         run_simulation, substream)
 
 
 def small_config(**overrides):
     base = dict(grid_rows=4, grid_cols=4, iterations=20, rng_seed=3)
     base.update(overrides)
-    return default_config(**base)
+    return SimConfig(**base)
 
 
 class TestBuildTopology:
     def test_default_grid(self):
-        config = default_config()
+        config = SimConfig()
         topo = build_topology(config)
         assert config.edge_length_m == pytest.approx(21.6e-3, rel=1e-12)
         assert topo.node_count == 621
@@ -38,7 +37,7 @@ class TestBuildTopology:
         assert np.array_equal(topo.anchors.positions, expected)
 
     def test_positions_inside_box(self):
-        config = default_config()
+        config = SimConfig()
         pos = build_topology(config).node_true_positions
         d = config.edge_length_m
         assert np.all(pos >= 0.0)
@@ -47,13 +46,13 @@ class TestBuildTopology:
         assert np.all(pos[:, 2] <= d / 2)
 
     def test_minimal_grid_has_no_mobile_nodes(self):
-        topo = build_topology(default_config(grid_rows=2, grid_cols=2))
+        topo = build_topology(SimConfig(grid_rows=2, grid_cols=2))
         assert topo.node_count == 0
 
     def test_seed_determinism(self):
-        a = build_topology(default_config(rng_seed=9))
-        b = build_topology(default_config(rng_seed=9))
-        c = build_topology(default_config(rng_seed=10))
+        a = build_topology(SimConfig(rng_seed=9))
+        b = build_topology(SimConfig(rng_seed=9))
+        c = build_topology(SimConfig(rng_seed=10))
         assert np.array_equal(a.node_true_positions, b.node_true_positions)
         assert not np.array_equal(a.node_true_positions, c.node_true_positions)
 
@@ -119,7 +118,7 @@ class TestRunIteration:
         assert not np.array_equal(before, after)
 
 
-def _node_round(distances, config: SimConfig, state: EnergyState):
+def _node_round(distances, config: SimConfig, state: oracles.EnergyState):
     """Reference ranging round of one node built from the scalar energy
     and channel operations: each controller's exchange in order (gate,
     link, reception debit, transmission debit), ending at the first
@@ -132,14 +131,14 @@ def _node_round(distances, config: SimConfig, state: EnergyState):
             return CODE_NODE_DEPLETED, state
         if not received_power(config.channel, distance).received:
             return CODE_LINK_INFEASIBLE, state
-        if not energy_mod.can_afford(state, rx_cost):
+        if not oracles.can_afford(state, rx_cost):
             return CODE_NODE_DEPLETED, state
-        state = energy_mod.consume(state, rx_cost, harvester)
-        if not energy_mod.can_afford(state, tx_cost):
+        state = oracles.consume(state, rx_cost, harvester)
+        if not oracles.can_afford(state, tx_cost):
             # The inbound pulse was received but the reply cannot be sent;
             # the reception energy stays spent.
             return CODE_NODE_DEPLETED, state
-        state = energy_mod.consume(state, tx_cost, harvester)
+        state = oracles.consume(state, tx_cost, harvester)
     return SUCCESS, state
 
 
@@ -152,7 +151,8 @@ def _scalar_replay(config: SimConfig, iterations: int):
     d = config.edge_length_m
     e0 = (config.harvester.max_storage_pj
           if config.initial_energy_pj is None else config.initial_energy_pj)
-    states = [EnergyState(float(e0), e0 >= config.harvester.effective_turn_on_pj)
+    states = [oracles.EnergyState(float(e0),
+                                  e0 >= config.harvester.effective_turn_on_pj)
               for _ in range(n)]
     controllers = topology.anchors.positions
     code_log = []
@@ -172,11 +172,11 @@ def _scalar_replay(config: SimConfig, iterations: int):
             codes[i], states[i] = _node_round(distances, config, states[i])
             # Operational packet from the nearest controller.
             cost = float(bits[i].sum()) * config.radio.energy_rx_pulse_pj
-            if (energy_mod.can_afford(states[i], cost)
+            if (oracles.can_afford(states[i], cost)
                     and received_power(config.channel, min(distances)).received):
-                states[i] = energy_mod.consume(states[i], cost, config.harvester)
-            states[i] = energy_mod.harvest(states[i], config.update_period_s,
-                                           config.harvester)
+                states[i] = oracles.consume(states[i], cost, config.harvester)
+            states[i] = oracles.harvest(states[i], config.update_period_s,
+                                        config.harvester)
         code_log.append(codes)
         energy_log.append(np.array([s.energy_pj for s in states]))
     return code_log, energy_log, [s.operational for s in states]
@@ -184,7 +184,7 @@ def _scalar_replay(config: SimConfig, iterations: int):
 
 _MIXED_LINKS = dict(
     spacing_m=3e-3,
-    channel=dataclasses.replace(default_config().channel,
+    channel=dataclasses.replace(SimConfig().channel,
                                 receiver_sensitivity_dbm=-68.0),
     initial_energy_pj=30.0)
 
@@ -200,7 +200,7 @@ class TestEngineMatchesScalarOperations:
         _MIXED_LINKS,
         # A low turn-off level keeps a node on after a reception-only
         # debit, so its round must stop there.
-        dict(harvester=dataclasses.replace(default_config().harvester,
+        dict(harvester=dataclasses.replace(SimConfig().harvester,
                                            turn_off_threshold_pj=0.01),
              initial_energy_pj=1.05),
         # Mixed links with the nodes moving: each period's links must follow
@@ -259,7 +259,7 @@ class TestEngineMatchesScalarOperations:
                 truth[None, :] - topology.anchors.positions, axis=1)
             measured = distances + sigma * noise[i]
             est = trilaterate(anchors, np.maximum(measured, 0.0))
-            expected_error = float(np.linalg.norm(est.position_m - truth))
+            expected_error = float(np.linalg.norm(est - truth))
             assert report.error_samples_m[i] == pytest.approx(expected_error,
                                                               abs=1e-12)
 
@@ -289,15 +289,15 @@ class TestDeferredLocalization:
              mobility_resample=True),
     ])
     def test_errors_equal_per_iteration_solves(self, overrides):
-        config = default_config(rng_seed=13, **overrides)
+        config = SimConfig(rng_seed=13, **overrides)
         expected = _per_iteration_errors(config)
         assert expected.size > 2 * _LOCATE_CHUNK_ROWS
         report = run_simulation(config)
         assert np.array_equal(report.error_samples_m, expected)
 
     def test_chunks_hold_the_row_cap(self, monkeypatch):
-        config = default_config(grid_rows=34, grid_cols=34, iterations=3,
-                                rng_seed=13)
+        config = SimConfig(grid_rows=34, grid_cols=34, iterations=3,
+                           rng_seed=13)
         calls = []
 
         def recording(anchors, distances):
@@ -338,16 +338,16 @@ class TestRunSimulation:
         assert a.mean_error_m != b.mean_error_m
 
     def test_empty_grid(self):
-        report = run_simulation(default_config(grid_rows=2, grid_cols=2,
-                                               iterations=5))
+        report = run_simulation(SimConfig(grid_rows=2, grid_cols=2,
+                                          iterations=5))
         assert report.attempts == 0
         assert np.isnan(report.availability)
         assert np.isnan(report.mean_error_m)
 
     def test_accuracy_scales_with_raw_resolution(self):
         # Halving the bandwidth should double the mean error, within 15%.
-        base = default_config(grid_rows=12, grid_cols=12, iterations=120,
-                              rng_seed=5)
+        base = SimConfig(grid_rows=12, grid_cols=12, iterations=120,
+                         rng_seed=5)
         full = run_simulation(base)
         half = run_simulation(dataclasses.replace(
             base, channel=dataclasses.replace(base.channel, bandwidth_hz=0.5e12)))
@@ -357,8 +357,8 @@ class TestRunSimulation:
     def test_frequency_does_not_change_results_when_links_feasible(self):
         reports = []
         for f in [1e12, 2e12, 5e12]:
-            config = default_config(grid_rows=8, grid_cols=8, iterations=50,
-                                    rng_seed=6)
+            config = SimConfig(grid_rows=8, grid_cols=8, iterations=50,
+                               rng_seed=6)
             config = dataclasses.replace(
                 config, channel=dataclasses.replace(config.channel,
                                                     frequency_hz=f))
