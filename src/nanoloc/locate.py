@@ -188,12 +188,16 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
     step does not improve try all halved scales in one batch and take the
     first that lowers the cost; a row that finds none stops.  The working
     arrays hold only the rows still moving, and an accepted trial's anchor
-    offsets and ranges build the next Jacobian.
+    offsets and ranges build the next Jacobian.  Each stack is freed once
+    dead, as the Jacobian build is the memory peak.  p0 is refined in place
+    and returned.
     """
-    out = p0.copy()
+    out = p0
     rows = np.arange(p0.shape[0])        # output row of each working row
     anchors = anchor_pos.T[:, None, :]   # (3, 1, 4)
-    p = np.ascontiguousarray(p0.T)       # (3, k): x, y and z rows
+    # (3, k): x, y and z rows.  A copy: the transpose of a Fortran-ordered
+    # p0 is already C-ordered, and out must not move with p.
+    p = p0.T.copy()
     diff = p[:, :, None] - anchors       # (3, k, 4)
     dist = _norm3(*diff)
     res = dist - d
@@ -202,14 +206,16 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
             break
         jt = np.ascontiguousarray(np.divide(
             diff, np.maximum(dist, 1e-18), out=diff).transpose(1, 0, 2))
+        del diff
         jac = np.ascontiguousarray(jt.transpose(0, 2, 1))
         hess, grad = jt @ jac, (res[:, None, :] @ jac).reshape(-1, 3, 1)
-        del diff, jt, jac            # memory: the solve is the peak
+        del jt, jac
         # Damped normal equations; the damping keeps the solve regular for
         # the rank-deficient Jacobian of points on the anchor plane while
         # staying far below the 1e-9 m step tolerance.
         hess += _GN_DAMPING
         step = -np.linalg.solve(hess, grad)[:, :, 0].T
+        del hess, grad
 
         # From here on diff, dist and res describe the trial positions.
         cost = np.add.reduce(res * res, axis=-1)
@@ -241,5 +247,5 @@ def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
         keep = np.flatnonzero(accepted & (_norm3(*(trial_p - p)) >= _GN_STEP_TOL_M))
         p, diff = trial_p.take(keep, 1), diff.take(keep, 1)
         dist, res, d, rows = (a.take(keep, 0) for a in (dist, res, d, rows))
-        del hess, grad, step, cost, trial_p, accepted, keep
+        del step, cost, trial_p, accepted, keep
     return out

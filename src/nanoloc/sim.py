@@ -13,7 +13,7 @@ The per-iteration engine is vectorized across nodes; its ranging round
 is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
 An estimate feeds nothing back, so run_simulation defers trilateration:
 it solves the successful rows of many periods together, in chunks of
-_LOCATE_CHUNK_ROWS rows, which bounds memory at any grid size.
+_LOCATE_CHUNK_ROWS (2048) rows, which bounds memory at any grid size.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
 All randomness for an iteration is pre-generated node-major from a
@@ -39,7 +39,7 @@ _TOPOLOGY_STREAM = 0
 _ITERATION_STREAM = 1
 
 # Rows per trilaterate_batch call; bounds the solver's working memory.
-_LOCATE_CHUNK_ROWS = 1024
+_LOCATE_CHUNK_ROWS = 2048
 
 Seed = int | tuple[int, ...]
 

@@ -427,8 +427,9 @@ class TestMain:
 
     def test_non_finite_error_stops_at_first_chunk(self, tmp_path, capsys,
                                                    monkeypatch):
-        # The 5 nodes fill the first trilateration chunk at period 205; the
-        # run must fail there instead of simulating all 1000 periods.
+        # The 12 nodes fill the first trilateration chunk at about period
+        # 171, before they drain near period 386; the run must fail there
+        # instead of simulating all 1000 periods.
         calls = []
         run_iteration = sim.run_iteration
 
@@ -438,7 +439,7 @@ class TestMain:
 
         monkeypatch.setattr(sim, "run_iteration", counting)
         config = write_json(tmp_path / "config.json", {
-            "grid_rows": 3, "grid_cols": 3, "iterations": 1000,
+            "grid_rows": 4, "grid_cols": 4, "iterations": 1000,
             "bandwidth_hz": 1e-300})
         with np.errstate(all="ignore"):
             code = main(["run", "--config", str(config)])

@@ -1,6 +1,7 @@
 """Locate module: trilateration exactness, symmetry handling, error metric."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,39 @@ class TestRowIndependence:
                  for part in np.split(distances, cuts)]
         assert len(parts) > 1
         assert np.array_equal(whole, np.concatenate(parts))
+
+
+class TestRefinementMemory:
+    def test_peak_heap_per_row(self):
+        # The Jacobian build is the refinement's peak.  Its live stacks, J^T
+        # and J (96 B per row each), the Hessian (72) and gradient (24) and
+        # the working positions, ranges, residuals, measured ranges and row
+        # index (24 + 32 + 32 + 32 + 8), add up to 416 B per row.  Keeping
+        # the anchor offsets, a Jacobian stack or the Hessian alive past its
+        # last use adds 72 B per row or more.
+        config = SimConfig()
+        topology = build_topology(config)
+        anchors = topology.anchors
+        nodes = np.linalg.norm(topology.node_true_positions[:, None, :]
+                               - anchors.positions[None, :, :], axis=2)
+        copies = -(-_LOCATE_CHUNK_ROWS // len(nodes))
+        d = np.tile(nodes, (copies, 1))[:_LOCATE_CHUNK_ROWS]
+        rng = np.random.default_rng(33)
+        sigma = raw_resolution(config.channel.bandwidth_hz)
+        d = d + sigma * rng.standard_normal(d.shape)
+        p0 = locate._linear_estimate(anchors, d)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            locate._gauss_newton_batch(anchors.positions, d, p0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / _LOCATE_CHUNK_ROWS < 440
 
 
 class TestLocalizationError:

@@ -6,6 +6,7 @@ ranging round (the engine's round lives in ranging.measure_batch).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -280,10 +281,16 @@ def _per_iteration_errors(config: SimConfig) -> np.ndarray:
     return np.concatenate(samples)
 
 
+# A square grid whose nodes (all but the four corner controllers) outnumber
+# the rows of one trilateration chunk: 46x46 holds 2112 nodes for 2048 rows.
+_OVER_CHUNK_SIDE = math.isqrt(_LOCATE_CHUNK_ROWS + 4) + 1
+
+
 class TestDeferredLocalization:
     @pytest.mark.parametrize("overrides", [
-        # 1152 nodes: every period alone is longer than one chunk.
-        dict(grid_rows=34, grid_cols=34, iterations=3),
+        # Every period alone is longer than one chunk.
+        dict(grid_rows=_OVER_CHUNK_SIDE, grid_cols=_OVER_CHUNK_SIDE,
+             iterations=3),
         # Moving nodes; the periods' rows span several chunks.
         dict(grid_rows=12, grid_cols=12, iterations=40,
              mobility_resample=True),
@@ -296,7 +303,8 @@ class TestDeferredLocalization:
         assert np.array_equal(report.error_samples_m, expected)
 
     def test_chunks_hold_the_row_cap(self, monkeypatch):
-        config = SimConfig(grid_rows=34, grid_cols=34, iterations=3,
+        config = SimConfig(grid_rows=_OVER_CHUNK_SIDE,
+                           grid_cols=_OVER_CHUNK_SIDE, iterations=3,
                            rng_seed=13)
         calls = []
 
@@ -306,6 +314,7 @@ class TestDeferredLocalization:
 
         monkeypatch.setattr(sim, "trilaterate_batch", recording)
         report = run_simulation(config)
+        assert min(report.per_iteration_successes) > _LOCATE_CHUNK_ROWS
         full, last = divmod(report.successes, _LOCATE_CHUNK_ROWS)
         assert calls == [_LOCATE_CHUNK_ROWS] * full + ([last] if last else [])
 
