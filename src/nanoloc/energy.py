@@ -130,6 +130,12 @@ def energy_at_cycle(n_cycle: int, params: HarvesterParams) -> float:
     return params.max_storage_pj * charged * charged
 
 
+def may_pay(operational: np.ndarray, payers: np.ndarray) -> np.ndarray:
+    """Nodes spend_batch may debit: the payers that are operational.  The
+    others pay nothing, whatever the cost."""
+    return payers & operational
+
+
 def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
                 cost_pj: float | np.ndarray, payers: np.ndarray,
                 params: HarvesterParams) -> np.ndarray:
@@ -139,7 +145,7 @@ def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
     may be drawn) pays it; one left below the turn-off threshold turns off.
     Returns the mask of nodes that paid; the others are untouched.
     """
-    paid = payers & operational & (energy_pj >= cost_pj)
+    paid = may_pay(operational, payers) & (energy_pj >= cost_pj)
     np.subtract(energy_pj, cost_pj, out=energy_pj, where=paid)
     operational[paid & (energy_pj < params.turn_off_threshold_pj)] = False
     return paid
@@ -164,11 +170,12 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     if cycles == 0:
         return energy.copy(), operational.copy()
     e_max = params.max_storage_pj
-    out = np.full_like(energy, e_max)
     charging = energy < e_max
-    if np.any(charging):
-        n = _cycle_positions(energy[charging], params) + cycles
-        charged = 1.0 - np.exp(-params.cycle_exponent * n)
-        out[charging] = np.minimum(e_max * charged * charged, e_max)
+    # A full node stays full.  Its curve runs from empty instead, away from
+    # the log's pole at max_storage_pj, and the result is discarded.
+    n = _cycle_positions(np.where(charging, energy, 0.0), params) + cycles
+    charged = 1.0 - np.exp(-params.cycle_exponent * n)
+    out = np.where(charging, np.minimum(e_max * charged * charged, e_max),
+                   e_max)
     turned_on = operational | (out >= params.effective_turn_on_pj)
     return out, turned_on

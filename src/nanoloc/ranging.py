@@ -4,7 +4,8 @@ One exchange: a controller transmits a pulse; the node receives it
 (spending reception energy), retransmits it (spending transmission
 energy), and the controller derives the distance from the round-trip
 time.  The resulting estimate carries zero-mean Gaussian noise with
-standard deviation equal to the link's raw resolution c / B.
+standard deviation equal to the link's raw resolution c / B
+(range_estimates).
 
 A node's round is one exchange per controller, in controller order.  An
 exchange can fail because the node is out of energy or because the link
@@ -16,9 +17,10 @@ emitted, in protocol order: operational gate -> link -> reception debit
 inbound check covers the reply.  Controllers are energy-unconstrained.
 
 measure_batch runs the rounds of many nodes at once and is the only
-implementation of the protocol; one node's round is a one-row call.  An
-outcome is an int8 code: SUCCESS, CODE_NODE_DEPLETED or
-CODE_LINK_INFEASIBLE.
+implementation of the protocol; one node's round is a one-row call.  It
+keeps the energy ledger alone: an outcome is an int8 code (SUCCESS,
+CODE_NODE_DEPLETED or CODE_LINK_INFEASIBLE), and only the rounds that
+succeeded are given range estimates, by range_estimates.
 """
 
 from __future__ import annotations
@@ -56,25 +58,20 @@ class RadioParams:
             raise ValueError("packet_bits must be >= 1")
 
 
-def measure_batch(distances_m: np.ndarray, feasible: np.ndarray,
-                  noise: np.ndarray, energy_pj: np.ndarray,
-                  operational: np.ndarray, channel: ChannelParams,
-                  radio: RadioParams, harvester: HarvesterParams
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One ranging round for each of n nodes against m controllers.
+def measure_batch(feasible: np.ndarray, energy_pj: np.ndarray,
+                  operational: np.ndarray, radio: RadioParams,
+                  harvester: HarvesterParams) -> np.ndarray:
+    """One ranging round for each of n nodes against m controllers: the
+    protocol's energy ledger.
 
-    distances_m, feasible (the link budget's verdict, from
-    channel.received_power_batch) and noise (standard-normal draws) have
-    shape (n, m).  energy_pj and operational, shape (n,), are debited in
-    place.  Returns (measured, failure_code): measured holds the estimate
-    d + (c / B) * noise of every exchange that succeeded and NaN
-    elsewhere; failure_code is SUCCESS where all m exchanges succeeded,
-    otherwise the code of the node's first failure.
+    feasible, shape (n, m), is the link budget's verdict (from
+    channel.received_power_batch).  energy_pj and operational, shape (n,),
+    are debited in place.  Returns failure_code: SUCCESS where all m
+    exchanges succeeded, otherwise the code of the node's first failure.
+    The round returns as soon as no node is still active.
     """
-    n, m = distances_m.shape
-    sigma = raw_resolution(channel.bandwidth_hz)
+    n, m = feasible.shape
     failure_code = np.zeros(n, dtype=np.int8)
-    measured = np.full((n, m), np.nan)
     active = np.ones(n, dtype=bool)
     for c in range(m):
         # A node leaves `active` at its first failure; each pulse is paid
@@ -87,5 +84,13 @@ def measure_batch(distances_m: np.ndarray, feasible: np.ndarray,
             paid = spend_batch(energy_pj, operational, cost, active, harvester)
             failure_code[active & ~paid] = CODE_NODE_DEPLETED
             active = paid
-        measured[active, c] = distances_m[active, c] + sigma * noise[active, c]
-    return measured, failure_code
+        if not active.any():
+            break
+    return failure_code
+
+
+def range_estimates(distances_m: np.ndarray, noise: np.ndarray,
+                    channel: ChannelParams) -> np.ndarray:
+    """Range estimates d + (c / B) * noise of successful exchanges, from
+    the true distances and standard-normal draws of the same shape."""
+    return distances_m + raw_resolution(channel.bandwidth_hz) * noise

@@ -11,13 +11,17 @@ the fraction of (node, iteration) attempts that produce a position.
 
 The per-iteration engine is vectorized across nodes; its ranging round
 is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
+Only the successful rounds get range estimates (ranging.range_estimates).
 An estimate feeds nothing back, so run_simulation defers trilateration:
 it solves the successful rows of many periods together, in chunks of
 _LOCATE_CHUNK_ROWS (2048) rows, which bounds memory at any grid size.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
-All randomness for an iteration is pre-generated node-major from a
-per-iteration substream, so a run is a pure function of its config.
+Each iteration draws node-major from its own substream, in a fixed order
+(positions, ranging noise, packet bits) and only when a draw is consumed:
+a period with nothing to draw creates no substream.  A skipped draw is
+never followed by a consumed one in the same substream, so a run is a
+pure function of its config.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nanoloc.channel import ChannelParams, received_power_batch
-from nanoloc.energy import HarvesterParams, harvest_batch, spend_batch
+from nanoloc.energy import (HarvesterParams, harvest_batch, may_pay,
+                            spend_batch)
 from nanoloc.locate import AnchorSet, norm, trilaterate_batch
 # The CODE_* values of IterationResult.failure_code are re-exported here.
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
-                             SUCCESS, RadioParams, measure_batch)
+                             SUCCESS, RadioParams, measure_batch,
+                             range_estimates)
 
 # Substream tags under the master seed.
 _TOPOLOGY_STREAM = 0
@@ -198,7 +204,7 @@ class IterationResult:
 
     success: np.ndarray          # (n,) bool
     failure_code: np.ndarray     # (n,) int8; SUCCESS where success
-    measured: np.ndarray         # (n, 4) ranges; NaN where not exchanged
+    measured: np.ndarray         # (successes, 4) ranges, in node order
 
     @property
     def success_count(self) -> int:
@@ -206,41 +212,53 @@ class IterationResult:
 
 
 def run_iteration(state: WorldState, config: SimConfig,
-                  rng: np.random.Generator) -> IterationResult:
-    """One update period: localization, operational packet, harvesting.
+                  t: int) -> IterationResult:
+    """Update period t: localization, operational packet, harvesting.
 
-    Mutates state in place and returns the per-node outcomes.  All random
-    draws happen up front: per-node positions (only when mobility
-    resampling is on), ranging noise, packet bits.
+    Mutates state in place and returns the per-node outcomes.  The
+    period's substream is created only when a draw is consumed, and the
+    draws keep their order: per-node positions (every period when
+    mobility resampling is on), the (n, 4) ranging noise (when a round
+    succeeded or a packet is payable), packet bits (when a packet is
+    payable).  Bits are the last draw, so a skipped one moves no value.
     """
     radio = config.radio
     harvester = config.harvester
+    rng = None
     if config.mobility_resample:
+        rng = substream(config.rng_seed, _ITERATION_STREAM, t)
         state.topology = _place(config, state.topology.anchors, rng)
     topo = state.topology
     n = topo.node_count
 
-    noise = rng.standard_normal((n, 4))
-    bits = rng.integers(0, 2, size=(n, radio.packet_bits))
-
     energy = state.energy_pj
     operational = state.operational
-    measured, failure_code = measure_batch(
-        topo.distances_m, topo.feasible, noise, energy, operational,
-        config.channel, radio, harvester)
-
-    # Operational phase: reception of one control packet from the nearest
-    # controller; silence for '0' bits costs nothing.
-    spend_batch(energy, operational,
-                bits.sum(axis=1) * radio.energy_rx_pulse_pj,
-                topo.packet_link, harvester)
+    failure_code = measure_batch(topo.feasible, energy, operational, radio,
+                                 harvester)
+    success = failure_code == SUCCESS
+    # A node off after ranging pays nothing, whatever its packet's bits.
+    payable = may_pay(operational, topo.packet_link).any()
+    measured = np.empty((0, 4))
+    if payable or success.any():
+        if rng is None:
+            rng = substream(config.rng_seed, _ITERATION_STREAM, t)
+        noise = rng.standard_normal((n, 4))
+        measured = range_estimates(topo.distances_m[success], noise[success],
+                                   config.channel)
+    if payable:
+        # Operational phase: reception of one control packet from the
+        # nearest controller; silence for '0' bits costs nothing.
+        bits = rng.integers(0, 2, size=(n, radio.packet_bits))
+        spend_batch(energy, operational,
+                    bits.sum(axis=1) * radio.energy_rx_pulse_pj,
+                    topo.packet_link, harvester)
 
     # Harvesting phase.
     energy[:], operational[:] = harvest_batch(
         energy, operational, config.update_period_s, harvester)
 
-    return IterationResult(success=failure_code == SUCCESS,
-                           failure_code=failure_code, measured=measured)
+    return IterationResult(success=success, failure_code=failure_code,
+                           measured=measured)
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
@@ -281,12 +299,11 @@ def run_simulation(config: SimConfig) -> TrialReport:
     samples: list[np.ndarray] = []
     measured, truth, pending = [], [], 0     # rows not solved yet
     for t in range(config.iterations):
-        rng = substream(config.rng_seed, _ITERATION_STREAM, t)
-        result = run_iteration(world, config, rng)
+        result = run_iteration(world, config, t)
         per_iteration.append(result.success_count)
         if result.success_count:
-            # Boolean indexing copies: a later placement cannot move them.
-            measured.append(result.measured[result.success])
+            measured.append(result.measured)
+            # Boolean indexing copies: a later placement cannot move it.
             truth.append(world.topology.node_true_positions[result.success])
             pending += result.success_count
         last = t == config.iterations - 1

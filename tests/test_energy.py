@@ -336,7 +336,26 @@ class TestHarvestBatch:
             rng.uniform(0, 800, size=120),
             np.array([0.0, 800.0, 9.99, 10.0]),
         ])
+        self._check_against_curve(energies, rng.random(energies.size) < 0.5)
+
+    def test_matches_scalar_all_charging(self):
+        # No node at full storage.
+        rng = np.random.default_rng(9)
+        energies = np.concatenate([
+            rng.uniform(0, 800, size=120),
+            np.array([0.0, 9.99, 10.0, np.nextafter(800.0, 0.0)]),
+        ])
+        assert np.all(energies < 800.0)
         flags = rng.random(energies.size) < 0.5
+        self._check_against_curve(energies, flags)
+        # A full node in the batch leaves the others' bits as they are.
+        with_full, _ = harvest_batch(np.append(energies, 800.0),
+                                     np.append(flags, True), 0.1, PARAMS)
+        alone, _ = harvest_batch(energies, flags, 0.1, PARAMS)
+        assert np.array_equal(alone, with_full[:-1])
+
+    @staticmethod
+    def _check_against_curve(energies, flags):
         start = [None if e >= 800.0 else _curve_oracle(float(e), PARAMS)
                  for e in energies]
         # 0.37 s is 18.5 cycles of 20 ms: the remainder is discarded.

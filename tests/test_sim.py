@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 from nanoloc import sim
-from nanoloc.channel import received_power
+from nanoloc.channel import raw_resolution, received_power
+from nanoloc.energy import harvest_batch
 from nanoloc.locate import norm, trilaterate, trilaterate_batch
 from nanoloc.sim import (_LOCATE_CHUNK_ROWS, CODE_LINK_INFEASIBLE,
                          CODE_NODE_DEPLETED, SUCCESS, SimConfig, build_topology,
@@ -79,11 +80,11 @@ class TestRunIteration:
         config = small_config()
         world = initial_world(config)
         topology = world.topology
-        rng = substream(config.rng_seed, 1, 0)
-        result = run_iteration(world, config, rng)
+        result = run_iteration(world, config, 0)
         # A static run keeps its placement and links.
         assert world.topology is topology
         assert result.success.all()
+        assert result.measured.shape == (topology.node_count, 4)
         assert np.all(np.isfinite(result.measured))
         # Energy after one period: full localization (4.4 pJ), packet '1'
         # bits at 0.1 pJ each, then five harvesting cycles.
@@ -98,25 +99,60 @@ class TestRunIteration:
     def test_depleted_node_fails_with_reason(self):
         config = small_config(initial_energy_pj=0.0)
         world = initial_world(config)
-        result = run_iteration(world, config, substream(config.rng_seed, 1, 0))
+        result = run_iteration(world, config, 0)
         assert not result.success.any()
         assert np.all(result.failure_code == CODE_NODE_DEPLETED)
-        assert np.all(np.isnan(result.measured))
+        assert result.measured.shape == (0, 4)
+        # Nothing was paid: the period only harvested from empty.
+        harvested, _ = harvest_batch(np.zeros(world.topology.node_count),
+                                     np.zeros(world.topology.node_count, bool),
+                                     config.update_period_s, config.harvester)
+        assert np.array_equal(world.energy_pj, harvested)
 
     def test_out_of_range_node_fails_with_reason(self):
         config = small_config(spacing_m=0.5)  # 1.5 m edge, infeasible links
         world = initial_world(config)
-        result = run_iteration(world, config, substream(config.rng_seed, 1, 0))
+        result = run_iteration(world, config, 0)
         assert not result.success.any()
         assert np.all(result.failure_code == CODE_LINK_INFEASIBLE)
+        assert result.measured.shape == (0, 4)
 
     def test_mobility_resample_moves_nodes(self):
         config = small_config(mobility_resample=True)
         world = initial_world(config)
         before = world.topology.node_true_positions.copy()
-        run_iteration(world, config, substream(config.rng_seed, 1, 0))
+        run_iteration(world, config, 0)
         after = world.topology.node_true_positions
         assert not np.array_equal(before, after)
+
+
+class TestLazyDraws:
+    """A period creates its substream only when it consumes a draw."""
+
+    @pytest.mark.parametrize("overrides, seeded_periods", [
+        # Static and drained: every round fails at its first or second
+        # exchange and no node is on for its packet, so only the topology
+        # is seeded.
+        (dict(initial_energy_pj=10.0), 0),
+        # Moving nodes draw their positions every period, drained or not.
+        (dict(initial_energy_pj=10.0, mobility_resample=True), 20),
+        # Full energy: every round succeeds and needs its noise.
+        (dict(), 20),
+    ], ids=["static_drained", "mobile_drained", "static_full"])
+    def test_substreams_per_run(self, monkeypatch, overrides, seeded_periods):
+        config = small_config(iterations=20, **overrides)
+        keys = []
+
+        def recording(seed, *key):
+            keys.append(key)
+            return substream(seed, *key)
+
+        monkeypatch.setattr(sim, "substream", recording)
+        report = run_simulation(config)
+        assert keys[0] == (0,)
+        assert len(keys) == 1 + seeded_periods
+        if "initial_energy_pj" in overrides:
+            assert report.successes == 0
 
 
 def _node_round(distances, config: SimConfig, state: oracles.EnergyState):
@@ -145,7 +181,10 @@ def _node_round(distances, config: SimConfig, state: oracles.EnergyState):
 
 def _scalar_replay(config: SimConfig, iterations: int):
     """Reference implementation of the iteration loop built from the
-    scalar module operations, consuming the same random layout."""
+    scalar module operations, consuming the same random layout.  It draws
+    every period's noise and bits whether or not they are consumed, and
+    returns each period's codes, energies and range estimates of the
+    successful rounds, then the final operational flags."""
     topology = build_topology(config)
     n = topology.node_count
     positions = topology.node_true_positions
@@ -156,21 +195,26 @@ def _scalar_replay(config: SimConfig, iterations: int):
                                   e0 >= config.harvester.effective_turn_on_pj)
               for _ in range(n)]
     controllers = topology.anchors.positions
+    sigma = raw_resolution(config.channel.bandwidth_hz)
     code_log = []
     energy_log = []
+    measured_log = []
     for t in range(iterations):
         rng = substream(config.rng_seed, 1, t)
         if config.mobility_resample:
             # Every period redraws the nodes uniformly in the (d, d, d/2) box.
             positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0],
                                     size=(n, 3))
-        rng.standard_normal((n, 4))  # ranging noise; estimates are not replayed
+        noise = rng.standard_normal((n, 4))
         bits = rng.integers(0, 2, size=(n, config.radio.packet_bits))
         codes = np.zeros(n, dtype=np.int8)
+        measured = []
         for i in range(n):
             node = positions[i]
-            distances = [float(np.linalg.norm(node - c)) for c in controllers]
+            distances = np.linalg.norm(node - controllers, axis=-1)
             codes[i], states[i] = _node_round(distances, config, states[i])
+            if codes[i] == SUCCESS:
+                measured.append(distances + sigma * noise[i])
             # Operational packet from the nearest controller.
             cost = float(bits[i].sum()) * config.radio.energy_rx_pulse_pj
             if (oracles.can_afford(states[i], cost)
@@ -180,7 +224,9 @@ def _scalar_replay(config: SimConfig, iterations: int):
                                         config.harvester)
         code_log.append(codes)
         energy_log.append(np.array([s.energy_pj for s in states]))
-    return code_log, energy_log, [s.operational for s in states]
+        measured_log.append(np.array(measured).reshape(-1, 4))
+    return (code_log, energy_log, measured_log,
+            [s.operational for s in states])
 
 
 _MIXED_LINKS = dict(
@@ -211,15 +257,16 @@ class TestEngineMatchesScalarOperations:
     def test_trajectories_match(self, overrides):
         config = small_config(grid_rows=4, grid_cols=3, iterations=25,
                               rng_seed=11, **overrides)
-        expected_code, expected_energy, expected_op = _scalar_replay(
-            config, config.iterations)
+        (expected_code, expected_energy, expected_measured,
+         expected_op) = _scalar_replay(config, config.iterations)
 
         world = initial_world(config)
         for t in range(config.iterations):
-            rng = substream(config.rng_seed, 1, t)
-            result = run_iteration(world, config, rng)
+            result = run_iteration(world, config, t)
             assert np.array_equal(result.failure_code, expected_code[t]), f"iter {t}"
             assert np.array_equal(result.success, expected_code[t] == SUCCESS)
+            assert np.array_equal(result.measured, expected_measured[t]), \
+                f"iter {t}"
             np.testing.assert_allclose(world.energy_pj, expected_energy[t],
                                        atol=1e-9)
         assert [bool(v) for v in world.operational] == expected_op
@@ -271,11 +318,10 @@ def _per_iteration_errors(config: SimConfig) -> np.ndarray:
     world = initial_world(config)
     samples = [np.empty(0)]
     for t in range(config.iterations):
-        result = run_iteration(world, config, substream(config.rng_seed, 1, t))
+        result = run_iteration(world, config, t)
         if result.success.any():
-            estimates = trilaterate_batch(
-                world.topology.anchors,
-                np.maximum(result.measured[result.success], 0.0))
+            estimates = trilaterate_batch(world.topology.anchors,
+                                          np.maximum(result.measured, 0.0))
             truth = world.topology.node_true_positions[result.success]
             samples.append(norm(estimates - truth))
     return np.concatenate(samples)
