@@ -30,8 +30,6 @@ DB_PER_NEPER = 10.0 * math.log10(math.e)
 #: (frequency_hz, k_per_m) pairs, strictly increasing in frequency.
 AbsorptionTable = tuple[tuple[float, float], ...]
 
-DEFAULT_ABSORPTION_TABLE: AbsorptionTable = ((1e12, 0.0),)
-
 
 def _validate_table(table: AbsorptionTable) -> None:
     if len(table) == 0:
@@ -47,11 +45,11 @@ def _validate_table(table: AbsorptionTable) -> None:
 class ChannelParams:
     """Link-budget parameters shared by both directions of an exchange."""
 
-    transmit_power_dbm: float
-    frequency_hz: float
-    bandwidth_hz: float
-    receiver_sensitivity_dbm: float
-    absorption_table: AbsorptionTable = DEFAULT_ABSORPTION_TABLE
+    transmit_power_dbm: float = -20.0
+    frequency_hz: float = 1e12
+    bandwidth_hz: float = 1e12
+    receiver_sensitivity_dbm: float = -100.0
+    absorption_table: AbsorptionTable = ((1e12, 0.0),)    # lossless
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):

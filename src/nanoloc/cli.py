@@ -1,10 +1,10 @@
 """Configuration ingestion, single-run and sweep execution, results output.
 
 Config files are flat JSON objects whose keys mirror the simulation
-parameters in snake_case with unit suffixes; unspecified keys take the
-shipped defaults.  Sweep specs are JSON objects
-``{"parameter": ..., "values": [...], "seeds": [...]}``.  Results are
-emitted as CSV (fixed header) or a JSON array, plus a summary table on
+parameters in snake_case with unit suffixes; an unspecified key takes its
+parameter type's field default, as in SimConfig().  Sweep specs are JSON
+objects ``{"parameter": ..., "values": [...], "seeds": [...]}``.  Results
+are emitted as CSV (fixed header) or a JSON array, plus a summary table on
 standard output.
 """
 
@@ -24,36 +24,28 @@ from typing import Any, Mapping, Sequence
 from nanoloc.channel import load_absorption_table
 from nanoloc.sim import SimConfig, TrialReport, run_simulation
 
-RESULT_FIELDS = ("parameter_name", "parameter_value", "seed", "mean_error_m",
-                 "p90_error_m", "availability", "attempts", "successes")
-
-# Sweep name -> (nested config holding the field, or None, field name).
-_SWEPT_FIELDS: dict[str, tuple[str | None, str]] = {
-    "frequency_hz": ("channel", "frequency_hz"),
-    "charge_per_cycle_pc": ("harvester", "charge_per_cycle_pc"),
-    "update_period_s": (None, "update_period_s"),
-    "bandwidth_hz": ("channel", "bandwidth_hz"),
-    "spacing_m": (None, "spacing_m"),
-    "sensitivity_dbm": ("channel", "receiver_sensitivity_dbm"),
-}
-SWEEPABLE_PARAMETERS = tuple(_SWEPT_FIELDS)
+SWEEPABLE_PARAMETERS = ("frequency_hz", "charge_per_cycle_pc",
+                        "update_period_s", "bandwidth_hz", "spacing_m",
+                        "sensitivity_dbm")
+# A sweep parameter whose config key has another name.
+_SWEEP_ALIASES = {"sensitivity_dbm": "receiver_sensitivity_dbm"}
 
 _DEFAULT_CONFIG = SimConfig()
-# Field names of each nested parameter object of SimConfig.  Each is a
-# flat config key, except the channel's absorption table, which a config
-# gives as a path (absorption_table_path).
-_NESTED_FIELDS: dict[str, tuple[str, ...]] = {
-    f.name: tuple(g.name for g in dataclasses.fields(getattr(_DEFAULT_CONFIG, f.name)))
-    for f in dataclasses.fields(SimConfig)
+# Field name -> the nested parameter object of SimConfig that holds it.
+# Each is a flat config key, except the channel's absorption table, which
+# a config gives as a path (absorption_table_path).
+_SECTION_OF: dict[str, str] = {
+    g.name: f.name for f in dataclasses.fields(SimConfig)
     if dataclasses.is_dataclass(getattr(_DEFAULT_CONFIG, f.name))
+    for g in dataclasses.fields(getattr(_DEFAULT_CONFIG, f.name))
 }
 CONFIG_DEFAULTS: dict[str, Any] = {
-    **{key: getattr(getattr(_DEFAULT_CONFIG, name), key)
-       for name, keys in _NESTED_FIELDS.items()
-       for key in keys if key != "absorption_table"},
+    **{key: getattr(getattr(_DEFAULT_CONFIG, section), key)
+       for key, section in _SECTION_OF.items() if key != "absorption_table"},
     "absorption_table_path": None,
     **{f.name: getattr(_DEFAULT_CONFIG, f.name)
-       for f in dataclasses.fields(SimConfig) if f.name not in _NESTED_FIELDS},
+       for f in dataclasses.fields(SimConfig)
+       if f.name not in _SECTION_OF.values()},
 }
 
 # A key's value type is its default's type; None defaults are handled apart.
@@ -91,21 +83,32 @@ def _coerce(key: str, value: Any) -> Any:
     return float(value)
 
 
+def _replace(config: SimConfig, values: Mapping[str, Any]) -> SimConfig:
+    """Clone config with each field of values replaced in the nested
+    parameter object that holds it, or in config itself."""
+    sections: dict[str | None, dict[str, Any]] = {}
+    for key, value in values.items():
+        sections.setdefault(_SECTION_OF.get(key), {})[key] = value
+    top = sections.pop(None, {})
+    return dataclasses.replace(config, **top, **{
+        section: dataclasses.replace(getattr(config, section), **fields)
+        for section, fields in sections.items()})
+
+
 def config_from_mapping(mapping: Mapping[str, Any],
                         base_dir: Path | None = None) -> SimConfig:
     """Build a SimConfig from a flat key-value mapping.
 
-    Unknown keys are rejected; missing keys take the defaults.  A relative
-    absorption table path is resolved against base_dir.
+    Unknown keys are rejected; missing keys take the defaults of
+    SimConfig().  A relative absorption table path is resolved against
+    base_dir.
     """
     unknown = sorted(set(mapping) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ConfigurationError(f"unknown config key '{unknown[0]}'")
-    values = dict(CONFIG_DEFAULTS)
-    for key, raw in mapping.items():
-        values[key] = _coerce(key, raw)
+    values = {key: _coerce(key, raw) for key, raw in mapping.items()}
 
-    table_path = values.pop("absorption_table_path")
+    table_path = values.pop("absorption_table_path", None)
     if table_path is not None:
         path = Path(table_path)
         if base_dir is not None and not path.is_absolute():
@@ -117,29 +120,32 @@ def config_from_mapping(mapping: Mapping[str, Any],
                 f"config key 'absorption_table_path': {exc}") from exc
 
     try:
-        nested = {}
-        for name, keys in _NESTED_FIELDS.items():
-            params = {key: values.pop(key) for key in keys if key in values}
-            nested[name] = type(getattr(_DEFAULT_CONFIG, name))(**params)
-        return SimConfig(**nested, **values)
+        return _replace(_DEFAULT_CONFIG, values)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
-def load_config(path: str | Path) -> SimConfig:
-    """Load a simulation config from a JSON file."""
-    path = Path(path)
+def _read_object(path: Path, what: str) -> dict[str, Any]:
+    """The JSON object held by a config or sweep file; an empty file
+    holds {}."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what} file: {exc}") from exc
     try:
         data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
-    return config_from_mapping(data, base_dir=path.parent)
+        raise ConfigurationError(f"{path}: {what} must be a JSON object")
+    return data
+
+
+def load_config(path: str | Path) -> SimConfig:
+    """Load a simulation config from a JSON file."""
+    path = Path(path)
+    return config_from_mapping(_read_object(path, "config"),
+                               base_dir=path.parent)
 
 
 @dataclass(frozen=True)
@@ -169,14 +175,7 @@ class SweepSpec:
 def load_sweep(path: str | Path) -> SweepSpec:
     """Load a sweep spec from a JSON file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read sweep file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: sweep spec must be a JSON object")
+    data = _read_object(path, "sweep")
     unknown = sorted(set(data) - {"parameter", "values", "seeds"})
     if unknown:
         raise ConfigurationError(f"{path}: unknown sweep key '{unknown[0]}'")
@@ -195,14 +194,9 @@ def load_sweep(path: str | Path) -> SweepSpec:
 
 def apply_swept_parameter(config: SimConfig, name: str, value: float) -> SimConfig:
     """Clone config with one swept parameter replaced."""
-    try:
-        section, field_name = _SWEPT_FIELDS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown sweep parameter '{name}'") from None
-    if section is None:
-        return dataclasses.replace(config, **{field_name: value})
-    nested = dataclasses.replace(getattr(config, section), **{field_name: value})
-    return dataclasses.replace(config, **{section: nested})
+    if name not in SWEEPABLE_PARAMETERS:
+        raise ConfigurationError(f"unknown sweep parameter '{name}'")
+    return _replace(config, {_SWEEP_ALIASES.get(name, name): value})
 
 
 @dataclass(frozen=True)
@@ -232,8 +226,8 @@ class ResultRow:
             successes=report.successes,
         )
 
-    def as_dict(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in RESULT_FIELDS}
+
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def sweep_point_seed(master_seed: int | tuple[int, ...], parameter_index: int,
@@ -334,7 +328,7 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
                                  for name in RESULT_FIELDS])
     elif fmt == "json":
         with path.open("w", encoding="utf-8") as fh:
-            json.dump([row.as_dict() for row in rows], fh, indent=2)
+            json.dump([dataclasses.asdict(row) for row in rows], fh, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format '{fmt}'")
@@ -346,22 +340,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nanoloc",
         description="Two-way time-of-flight localization simulator for "
                     "energy-harvesting nanonodes.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="config JSON path")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the config rng_seed (a sweep's "
+                             "master seed)")
+    common.add_argument("--out", default=None, help="results file path")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a single configuration")
-    run_p.add_argument("--config", required=True, help="config JSON path")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config rng_seed")
-    run_p.add_argument("--out", default=None, help="results file path")
-    run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sweep_p = sub.add_parser("sweep", help="run a parameter sweep")
-    sweep_p.add_argument("--config", required=True, help="config JSON path")
+    sub.add_parser("run", parents=[common], help="run a single configuration")
+    sweep_p = sub.add_parser("sweep", parents=[common],
+                             help="run a parameter sweep")
     sweep_p.add_argument("--sweep", required=True, help="sweep spec JSON path")
-    sweep_p.add_argument("--seed", type=int, default=None,
-                         help="override the config rng_seed (sweep master seed)")
-    sweep_p.add_argument("--out", default=None, help="results file path")
-    sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -376,8 +367,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = dataclasses.replace(config, rng_seed=args.seed)
         if args.command == "run":
             report = run_simulation(config)
-            seed = config.rng_seed if isinstance(config.rng_seed, int) else 0
-            rows = [ResultRow.from_report("none", 0.0, seed, report)]
+            rows = [ResultRow.from_report("none", 0.0, config.rng_seed,
+                                          report)]
         else:
             sweep = load_sweep(args.sweep)
             rows = run_sweep(config, sweep)

@@ -41,17 +41,17 @@ class EnergySaturationError(ValueError):
 class HarvesterParams:
     """Harvester and storage parameters of one nanonode.
 
-    turn_on_threshold_pj below turn_off_threshold_pj collapses the
-    hysteresis to a single operational floor at the turn-off value
-    (see effective_turn_on_pj).
+    The defaults describe air-vibration harvesting.  turn_on_threshold_pj
+    below turn_off_threshold_pj collapses the hysteresis to a single
+    operational floor at the turn-off value (see effective_turn_on_pj).
     """
 
-    generator_voltage_v: float
-    max_storage_pj: float
-    charge_per_cycle_pc: float
-    cycle_duration_s: float
-    turn_off_threshold_pj: float
-    turn_on_threshold_pj: float
+    generator_voltage_v: float = 0.42
+    max_storage_pj: float = 800.0
+    charge_per_cycle_pc: float = 6.0
+    cycle_duration_s: float = 0.02
+    turn_off_threshold_pj: float = 10.0
+    turn_on_threshold_pj: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("generator_voltage_v", "max_storage_pj",
@@ -90,7 +90,7 @@ class HarvesterParams:
 
 def _cycle_positions(energy_pj: np.ndarray,
                      params: HarvesterParams) -> np.ndarray:
-    """Cycle index of each energy level below max_storage_pj, as floats.
+    """Cycle index of each energy level in [0, max_storage_pj), as floats.
 
     Inverts the charging curve:
 
@@ -99,12 +99,11 @@ def _cycle_positions(energy_pj: np.ndarray,
     Positions within float roundoff of a whole cycle snap to it, so this
     is an exact inverse of energy_at_cycle on the curve's own values.
     """
-    x = (-np.log(1.0 - np.sqrt(np.maximum(energy_pj, 0.0)
-                               / params.max_storage_pj))
+    x = (-np.log(1.0 - np.sqrt(energy_pj / params.max_storage_pj))
          / params.cycle_exponent)
     nearest = np.rint(x)
     snap = np.abs(x - nearest) <= _INDEX_SNAP_REL * np.maximum(1.0, np.abs(x))
-    return np.maximum(np.where(snap, nearest, np.ceil(x)), 0.0)
+    return np.where(snap, nearest, np.ceil(x))
 
 
 def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
@@ -157,6 +156,7 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     """Advance each node's charging curve by the whole cycles within
     elapsed_s; fractional remainders are discarded.
 
+    Energies are non-negative, as spend_batch never debits below zero.
     Harvesting applies whether or not a node is operational; its flag
     turns back on at the effective turn-on threshold.  Returns new
     (energy, operational) arrays; inputs are not modified.
@@ -175,7 +175,6 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     # the log's pole at max_storage_pj, and the result is discarded.
     n = _cycle_positions(np.where(charging, energy, 0.0), params) + cycles
     charged = 1.0 - np.exp(-params.cycle_exponent * n)
-    out = np.where(charging, np.minimum(e_max * charged * charged, e_max),
-                   e_max)
+    out = np.where(charging, e_max * charged * charged, e_max)
     turned_on = operational | (out >= params.effective_turn_on_pj)
     return out, turned_on

@@ -56,10 +56,15 @@ class AnchorSet:
             for j in range(i + 1, 4):
                 if np.array_equal(pos[i], pos[j]):
                     raise ValueError(f"anchors {i} and {j} coincide")
-        # Collinear anchors cannot fix a position in any plane.
-        spans = pos[1:] - pos[0]
-        if np.linalg.matrix_rank(spans, tol=1e-12 * max(1.0, self.span_m)) < 2:
-            raise DegenerateGeometryError("anchors are collinear")
+        # The reduced system must fix (x, y) when the anchors share a
+        # z-plane (the ranges then give the height), and x, y, z otherwise.
+        # This also rejects collinear anchors.
+        lhs = self.reduced_lhs[:, :2] if self.coplanar_z else self.reduced_lhs
+        if (np.linalg.matrix_rank(lhs, tol=1e-12 * max(1.0, self.span_m))
+                < lhs.shape[1]):
+            plane = "horizontal" if self.coplanar_z else "3D"
+            raise DegenerateGeometryError(
+                f"anchor geometry does not determine a {plane} position")
 
     @cached_property
     def span_m(self) -> float:
@@ -80,13 +85,6 @@ class AnchorSet:
         first anchor's sphere equation from the others."""
         return 2.0 * (self.positions[1:] - self.positions[0])
 
-    @cached_property
-    def reduced_rank(self) -> int:
-        """Rank of the reduced linear system; of its (x, y) columns only
-        when the anchors are coplanar in z."""
-        lhs = self.reduced_lhs[:, :2] if self.coplanar_z else self.reduced_lhs
-        return int(np.linalg.matrix_rank(lhs, tol=1e-12 * max(1.0, self.span_m)))
-
     @property
     def z_plane_m(self) -> float:
         return float(self.positions[0, 2])
@@ -97,8 +95,8 @@ def trilaterate(anchors: AnchorSet, distances_m: Sequence[float] | np.ndarray
     """Estimate a 3D position, shape (3,), from four range measurements.
 
     Negative measurements (possible under heavy noise) are clamped to
-    zero.  Raises DegenerateGeometryError when the reduced linear system
-    is rank-deficient.
+    zero.  Never fails on geometry: AnchorSet rejects, when built, anchors
+    whose reduced linear system cannot fix a position.
     """
     d = np.asarray(distances_m, dtype=np.float64)
     if d.shape != (4,):
@@ -152,9 +150,6 @@ def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
            - float(np.sum(pos[0] ** 2)))                 # (m, 3)
 
     if anchors.coplanar_z:
-        if anchors.reduced_rank < 2:
-            raise DegenerateGeometryError(
-                "anchor geometry does not determine a horizontal position")
         xy = np.linalg.lstsq(lhs[:, :2], rhs.T, rcond=None)[0].T  # (m, 2)
         # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
         # height above the anchor plane; noise can push it negative, in
@@ -162,9 +157,6 @@ def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
         dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
         z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
         return np.column_stack([xy, anchors.z_plane_m + z_off])
-    if anchors.reduced_rank < 3:
-        raise DegenerateGeometryError(
-            "anchor geometry does not determine a 3D position")
     return np.linalg.lstsq(lhs, rhs.T, rcond=None)[0].T
 
 

@@ -43,8 +43,8 @@ CODE_LINK_INFEASIBLE = 2
 class RadioParams:
     """Per-pulse energy costs and the operational-phase packet length."""
 
-    energy_rx_pulse_pj: float
-    energy_tx_pulse_pj: float
+    energy_rx_pulse_pj: float = 0.1
+    energy_tx_pulse_pj: float = 1.0
     packet_bits: int = 8
 
     def __post_init__(self) -> None:

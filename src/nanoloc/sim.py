@@ -56,44 +56,14 @@ def substream(seed: Seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + key))
 
 
-def default_harvester() -> HarvesterParams:
-    """Default harvester parameterization (air-vibration harvesting)."""
-    return HarvesterParams(
-        generator_voltage_v=0.42,
-        max_storage_pj=800.0,
-        charge_per_cycle_pc=6.0,
-        cycle_duration_s=0.02,
-        turn_off_threshold_pj=10.0,
-        turn_on_threshold_pj=0.0,
-    )
-
-
-def default_channel() -> ChannelParams:
-    """Default THz link parameterization."""
-    return ChannelParams(
-        transmit_power_dbm=-20.0,
-        frequency_hz=1e12,
-        bandwidth_hz=1e12,
-        receiver_sensitivity_dbm=-100.0,
-    )
-
-
-def default_radio() -> RadioParams:
-    """Default pulse energies and packet size."""
-    return RadioParams(
-        energy_rx_pulse_pj=0.1,
-        energy_tx_pulse_pj=1.0,
-        packet_bits=8,
-    )
-
-
 @dataclass
 class SimConfig:
-    """Complete configuration of one simulation run."""
+    """Complete configuration of one simulation run; SimConfig() is the
+    default setup."""
 
-    harvester: HarvesterParams = field(default_factory=default_harvester)
-    channel: ChannelParams = field(default_factory=default_channel)
-    radio: RadioParams = field(default_factory=default_radio)
+    harvester: HarvesterParams = field(default_factory=HarvesterParams)
+    channel: ChannelParams = field(default_factory=ChannelParams)
+    radio: RadioParams = field(default_factory=RadioParams)
     grid_rows: int = 25
     grid_cols: int = 25
     spacing_m: float = 0.9e-3

@@ -11,10 +11,9 @@ import pytest
 
 from nanoloc.channel import raw_resolution, received_power
 from nanoloc.cli import apply_swept_parameter, main
-from nanoloc.energy import cycle_index, energy_at_cycle
+from nanoloc.energy import HarvesterParams, cycle_index, energy_at_cycle
 from nanoloc.locate import AnchorSet, localization_error, trilaterate
-from nanoloc.sim import (SimConfig, build_topology, default_harvester,
-                         run_simulation)
+from nanoloc.sim import SimConfig, build_topology, run_simulation
 
 pytestmark = pytest.mark.acceptance
 
@@ -179,7 +178,7 @@ def test_criterion_06_sensitivity_cliff(run_cache):
 
 
 def test_criterion_07_energy_model_oracles():
-    params = default_harvester()
+    params = HarvesterParams()
     bad = [k for k in range(1, 10_001)
            if cycle_index(energy_at_cycle(k, params), params) != k]
     ok_roundtrip = not bad

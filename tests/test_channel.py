@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nanoloc.channel import (DEFAULT_ABSORPTION_TABLE, SPEED_OF_LIGHT_M_S,
-                             ChannelParams, absorption_coefficient,
+from nanoloc.channel import (SPEED_OF_LIGHT_M_S, ChannelParams,
+                             absorption_coefficient,
                              load_absorption_table, raw_resolution,
                              received_power, received_power_batch)
 
@@ -38,7 +38,8 @@ class TestAbsorptionCoefficient:
         assert absorption_coefficient(9e12, table) == 0.2
 
     def test_lossless_default(self):
-        assert absorption_coefficient(5e12, DEFAULT_ABSORPTION_TABLE) == 0.0
+        table = ChannelParams().absorption_table
+        assert absorption_coefficient(5e12, table) == 0.0
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from nanoloc import cli, sim
-from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, ConfigurationError,
-                         ResultRow, SweepSpec, apply_swept_parameter,
+from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, SWEEPABLE_PARAMETERS,
+                         ConfigurationError, ResultRow, SweepSpec,
+                         apply_swept_parameter,
                          config_from_mapping, emit_results, format_summary,
                          load_config, load_sweep, main, run_sweep,
                          sweep_point_seed)
@@ -124,6 +125,12 @@ class TestLoadSweep:
         with pytest.raises(ConfigurationError, match="sorted"):
             load_sweep(path)
 
+    def test_empty_file_needs_parameter(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="'parameter'"):
+            load_sweep(path)
+
     def test_empty_values(self, tmp_path):
         path = write_json(tmp_path / "sweep.json",
                           {"parameter": "bandwidth_hz", "values": []})
@@ -164,6 +171,17 @@ class TestApplySweptParameter:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError, match="antenna_gain"):
             apply_swept_parameter(SimConfig(), "antenna_gain", 1.0)
+
+    @pytest.mark.parametrize("name", SWEEPABLE_PARAMETERS)
+    def test_same_config_as_config_key(self, name):
+        # A swept value must land where the same config key lands.
+        value = {"frequency_hz": 2e12, "charge_per_cycle_pc": 2.0,
+                 "update_period_s": 0.22, "bandwidth_hz": 1e11,
+                 "spacing_m": 3e-3, "sensitivity_dbm": -90.0}[name]
+        key = {"sensitivity_dbm": "receiver_sensitivity_dbm"}.get(name, name)
+        swept = apply_swept_parameter(SimConfig(), name, value)
+        assert swept == config_from_mapping({key: value})
+        assert swept != SimConfig()
 
     def test_original_config_untouched(self):
         config = SimConfig()

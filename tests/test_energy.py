@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from nanoloc.energy import (EnergySaturationError, cycle_index,
-                            energy_at_cycle, harvest_batch, spend_batch)
-from nanoloc.sim import default_harvester
+from nanoloc.energy import (EnergySaturationError, HarvesterParams,
+                            cycle_index, energy_at_cycle, harvest_batch,
+                            spend_batch)
 from oracles import EnergyState, can_afford, consume, harvest
 
 
 def default_params(**overrides):
-    return dataclasses.replace(default_harvester(), **overrides)
+    return dataclasses.replace(HarvesterParams(), **overrides)
 
 
 PARAMS = default_params()

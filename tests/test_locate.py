@@ -107,14 +107,13 @@ class TestDegenerateGeometry:
     def test_tilted_coplanar_anchors_rejected(self):
         # Coplanar in a non-horizontal plane: the linearized system is
         # rank-deficient and no half-space convention applies.
-        anchors = AnchorSet(positions=np.array([
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 1.0],
-            [0.0, 1.0, 1.0],
-            [1.0, 1.0, 2.0],
-        ]))
         with pytest.raises(DegenerateGeometryError):
-            trilaterate(anchors, np.array([1.0, 1.0, 1.0, 1.5]))
+            AnchorSet(positions=np.array([
+                [0.0, 0.0, 0.0],
+                [1.0, 0.0, 1.0],
+                [0.0, 1.0, 1.0],
+                [1.0, 1.0, 2.0],
+            ]))
 
 
 class TestNoisyInput:

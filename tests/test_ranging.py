@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from nanoloc import ranging
-from nanoloc.channel import raw_resolution, received_power_batch
-from nanoloc.energy import spend_batch
+from nanoloc.channel import (ChannelParams, raw_resolution,
+                             received_power_batch)
+from nanoloc.energy import HarvesterParams, spend_batch
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
                              RadioParams, measure_batch, range_estimates)
-from nanoloc.sim import default_channel, default_harvester
 from oracles import EnergyState
 
 
 def harvester(**overrides):
-    return dataclasses.replace(default_harvester(), **overrides)
+    return dataclasses.replace(HarvesterParams(), **overrides)
 
 
 def channel(**overrides):
-    return dataclasses.replace(default_channel(), **overrides)
+    return dataclasses.replace(ChannelParams(), **overrides)
 
 
 RADIO = RadioParams(energy_rx_pulse_pj=0.1, energy_tx_pulse_pj=1.0, packet_bits=8)
