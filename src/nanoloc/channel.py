@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,11 @@ class ChannelParams:
                                  for f, k in self.absorption_table))
         _validate_table(self.absorption_table)
 
+    @cached_property
+    def absorption_per_m(self) -> float:
+        """k(f) at this channel's frequency, in 1/m; computed once."""
+        return absorption_coefficient(self.frequency_hz, self.absorption_table)
+
 
 @dataclass(frozen=True)
 class LinkBudgetResult:
@@ -94,7 +100,7 @@ def _link_budget(params: ChannelParams, d: np.ndarray
     """(spreading_db, absorption_db, received_power_dbm) over distances d."""
     if not np.all(d > 0):
         raise ValueError("distances must be strictly positive")
-    k = absorption_coefficient(params.frequency_hz, params.absorption_table)
+    k = params.absorption_per_m
     spreading_db = 20.0 * np.log10(
         4.0 * math.pi * params.frequency_hz * d / SPEED_OF_LIGHT_M_S)
     absorption_db = k * d * DB_PER_NEPER

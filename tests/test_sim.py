@@ -16,9 +16,10 @@ from nanoloc import sim
 from nanoloc.channel import raw_resolution, received_power
 from nanoloc.energy import harvest_batch
 from nanoloc.locate import norm, trilaterate, trilaterate_batch
-from nanoloc.sim import (_LOCATE_CHUNK_ROWS, CODE_LINK_INFEASIBLE,
-                         CODE_NODE_DEPLETED, SUCCESS, SimConfig, build_topology,
-                         initial_world, nearest_rank_percentile, run_iteration,
+from nanoloc.sim import (_DRAW_FREE_CAP, _LOCATE_CHUNK_ROWS,
+                         CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
+                         SimConfig, WorldState, build_topology, initial_world,
+                         nearest_rank_percentile, run_iteration,
                          run_simulation, substream)
 
 
@@ -26,6 +27,19 @@ def small_config(**overrides):
     base = dict(grid_rows=4, grid_cols=4, iterations=20, rng_seed=3)
     base.update(overrides)
     return SimConfig(**base)
+
+
+def count_harvests(monkeypatch) -> list:
+    """Patch sim.harvest_batch to log each call; a replayed period makes
+    none."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return harvest_batch(*args)
+
+    monkeypatch.setattr(sim, "harvest_batch", counting)
+    return calls
 
 
 class TestBuildTopology:
@@ -254,12 +268,13 @@ class TestEngineMatchesScalarOperations:
         # the new positions.
         dict(_MIXED_LINKS, mobility_resample=True),
     ])
-    def test_trajectories_match(self, overrides):
+    def test_trajectories_match(self, monkeypatch, overrides):
         config = small_config(grid_rows=4, grid_cols=3, iterations=25,
                               rng_seed=11, **overrides)
         (expected_code, expected_energy, expected_measured,
          expected_op) = _scalar_replay(config, config.iterations)
 
+        harvests = count_harvests(monkeypatch)
         world = initial_world(config)
         for t in range(config.iterations):
             result = run_iteration(world, config, t)
@@ -270,6 +285,11 @@ class TestEngineMatchesScalarOperations:
             np.testing.assert_allclose(world.energy_pj, expected_energy[t],
                                        atol=1e-9)
         assert [bool(v) for v in world.operational] == expected_op
+        # The boundary-energy case drains within its 25 periods and then
+        # replays recurring draw-free periods, so the scalar reference
+        # covers the replay path too.
+        if overrides == dict(initial_energy_pj=20.0):
+            assert len(harvests) < config.iterations
 
     def test_mixed_links_case_has_a_link_after_a_gap(self):
         config = small_config(grid_rows=4, grid_cols=3, rng_seed=11,
@@ -310,6 +330,108 @@ class TestEngineMatchesScalarOperations:
             expected_error = float(np.linalg.norm(est - truth))
             assert report.error_samples_m[i] == pytest.approx(expected_error,
                                                               abs=1e-12)
+
+
+_HARVEST_2PC = dataclasses.replace(SimConfig().harvester,
+                                   charge_per_cycle_pc=2.0)
+
+
+def _drained_world(config: SimConfig) -> WorldState:
+    """A world run through config.iterations periods: a drained one ends in
+    a recurring draw-free state that its record holds."""
+    world = initial_world(config)
+    for t in range(config.iterations):
+        run_iteration(world, config, t)
+    return world
+
+
+class TestDrawFreeReplay:
+    """A draw-free period that starts in a state recorded since the last
+    draw is replayed from the record instead of simulated."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(initial_energy_pj=10.0),
+        dict(harvester=_HARVEST_2PC),
+        # At the default 6 pC a node whose first link is infeasible never
+        # pays for ranging, stays on and pays its packet every period, so
+        # every period draws.  At 2 pC every node of this placement drains,
+        # 8 of its 32 links are infeasible and 5 of its 8 nodes have a
+        # feasible link after an infeasible one.
+        dict(_MIXED_LINKS, harvester=_HARVEST_2PC, grid_rows=4, grid_cols=3,
+             rng_seed=31),
+    ], ids=["drained", "charge_2pc", "mixed_links_2pc"])
+    def test_replay_equals_simulation(self, monkeypatch, overrides):
+        config = small_config(iterations=300, **overrides)
+        replaying = initial_world(config)
+        simulated = initial_world(config)
+        harvests = count_harvests(monkeypatch)
+        replayed = 0
+        for t in range(config.iterations):
+            before = len(harvests)
+            got = run_iteration(replaying, config, t)
+            replayed += len(harvests) == before
+            simulated.draw_free = None
+            want = run_iteration(simulated, config, t)
+            assert np.array_equal(got.failure_code, want.failure_code), t
+            assert np.array_equal(got.success, want.success), t
+            assert np.array_equal(got.measured, want.measured), t
+            assert np.array_equal(replaying.energy_pj, simulated.energy_pj), t
+            assert np.array_equal(replaying.operational,
+                                  simulated.operational), t
+        assert replayed >= 1
+
+    @pytest.mark.parametrize("change", ["topology", "config"])
+    def test_no_replay_across_objects(self, monkeypatch, change):
+        config = small_config(initial_energy_pj=10.0)
+        world = _drained_world(config)
+        # Sanity: with the same objects the next period is a replay.  The
+        # copy shares the record, and a replay leaves the record as it is.
+        harvests = count_harvests(monkeypatch)
+        twin = dataclasses.replace(world, energy_pj=world.energy_pj.copy(),
+                                   operational=world.operational.copy())
+        run_iteration(twin, config, config.iterations)
+        assert harvests == []
+
+        if change == "topology":
+            # Equal links, another object.
+            world.topology = dataclasses.replace(world.topology)
+        else:
+            # A longer period harvests more than the recorded one did.
+            config = dataclasses.replace(config, update_period_s=0.2)
+        fresh = WorldState(world.topology, world.energy_pj.copy(),
+                           world.operational.copy())
+        got = run_iteration(world, config, config.iterations)
+        assert len(harvests) == 1
+        want = run_iteration(fresh, config, config.iterations)
+        assert np.array_equal(got.failure_code, want.failure_code)
+        assert np.array_equal(world.energy_pj, fresh.energy_pj)
+        assert np.array_equal(world.operational, fresh.operational)
+
+    def test_record_stays_within_its_cap(self):
+        # 621 nodes with a 200 pJ turn-on level: long draw-free stretches
+        # whose states never recur.
+        config = SimConfig(harvester=dataclasses.replace(
+            SimConfig().harvester, turn_on_threshold_pj=200.0))
+        world = initial_world(config)
+        sizes = []
+        for t in range(config.iterations):
+            run_iteration(world, config, t)
+            if world.draw_free is not None:
+                sizes.append(len(world.draw_free.periods))
+        assert max(sizes) == _DRAW_FREE_CAP
+
+    def test_replayed_result_is_read_only(self, monkeypatch):
+        config = small_config(initial_energy_pj=10.0)
+        world = _drained_world(config)
+        harvests = count_harvests(monkeypatch)
+        result = run_iteration(world, config, config.iterations)
+        assert harvests == []
+        for array in (result.success, result.failure_code, result.measured):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # The end state was copied into the world's own arrays.
+        world.energy_pj[0] = 1.0
+        world.operational[0] = False
 
 
 def _per_iteration_errors(config: SimConfig) -> np.ndarray:
