@@ -74,12 +74,13 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class LinkBudgetResult:
-    """Loss decomposition of one link direction at one distance."""
+    """Loss decomposition of one link direction at each distance; every
+    field has the shape of the distances given."""
 
-    received_power_dbm: float
-    spreading_loss_db: float
-    absorption_loss_db: float
-    received: bool
+    received_power_dbm: np.ndarray
+    spreading_loss_db: np.ndarray
+    absorption_loss_db: np.ndarray
+    received: np.ndarray
 
 
 def absorption_coefficient(frequency_hz: float,
@@ -95,44 +96,26 @@ def absorption_coefficient(frequency_hz: float,
     return float(np.interp(frequency_hz, freqs, ks))
 
 
-def _link_budget(params: ChannelParams, d: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(spreading_db, absorption_db, received_power_dbm) over distances d."""
-    if not np.all(d > 0):
-        raise ValueError("distances must be strictly positive")
-    k = params.absorption_per_m
-    spreading_db = 20.0 * np.log10(
-        4.0 * math.pi * params.frequency_hz * d / SPEED_OF_LIGHT_M_S)
-    absorption_db = k * d * DB_PER_NEPER
-    return (spreading_db, absorption_db,
-            params.transmit_power_dbm - spreading_db - absorption_db)
-
-
-def received_power(params: ChannelParams, distance_m: float) -> LinkBudgetResult:
-    """Link budget for one direction over distance_m.
+def received_power(params: ChannelParams,
+                   distance_m: float | np.ndarray) -> LinkBudgetResult:
+    """Link budget for one direction over one distance or an array of them.
 
     Reception is inclusive at the boundary: a signal exactly at the
     sensitivity counts as received.
     """
-    spreading_db, absorption_db, rx_dbm = (
-        float(v) for v in _link_budget(params, np.float64(distance_m)))
+    d = np.asarray(distance_m, dtype=np.float64)
+    if not np.all(d > 0):
+        raise ValueError("distances must be strictly positive")
+    spreading_db = 20.0 * np.log10(
+        4.0 * math.pi * params.frequency_hz * d / SPEED_OF_LIGHT_M_S)
+    absorption_db = params.absorption_per_m * d * DB_PER_NEPER
+    rx_dbm = params.transmit_power_dbm - spreading_db - absorption_db
     return LinkBudgetResult(
         received_power_dbm=rx_dbm,
         spreading_loss_db=spreading_db,
         absorption_loss_db=absorption_db,
         received=rx_dbm >= params.receiver_sensitivity_dbm,
     )
-
-
-def received_power_batch(params: ChannelParams,
-                         distances_m: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """received_power over an array of distances.
-
-    Returns (received_power_dbm, received) arrays of the input shape.
-    """
-    _, _, rx_dbm = _link_budget(params, np.asarray(distances_m, dtype=np.float64))
-    return rx_dbm, rx_dbm >= params.receiver_sensitivity_dbm
 
 
 def raw_resolution(bandwidth_hz: float) -> float:

@@ -60,9 +60,11 @@ class HarvesterParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive")
-        if not (math.isfinite(self.turn_on_threshold_pj)
-                and self.turn_on_threshold_pj >= 0):
-            raise ValueError("turn_on_threshold_pj must be >= 0")
+        # The charging curve never exceeds max_storage_pj: a higher turn-on
+        # level would keep a node off for good.
+        if not 0 <= self.turn_on_threshold_pj <= self.max_storage_pj:
+            raise ValueError(
+                "turn_on_threshold_pj must lie in [0, max_storage_pj]")
         if not self.turn_off_threshold_pj < self.max_storage_pj:
             raise ValueError(
                 "turn_off_threshold_pj must be below max_storage_pj")
@@ -151,30 +153,25 @@ def spend_batch(energy_pj: np.ndarray, operational: np.ndarray,
 
 
 def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
-                  elapsed_s: float, params: HarvesterParams
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance each node's charging curve by the whole cycles within
-    elapsed_s; fractional remainders are discarded.
+                  elapsed_s: float, params: HarvesterParams) -> None:
+    """Advance each node's charging curve, in place, by the whole cycles
+    within elapsed_s; fractional remainders are discarded.
 
     Energies are non-negative, as spend_batch never debits below zero.
     Harvesting applies whether or not a node is operational; its flag
-    turns back on at the effective turn-on threshold.  Returns new
-    (energy, operational) arrays; inputs are not modified.
+    turns back on at the effective turn-on threshold.
     """
     if elapsed_s < 0:
         raise ValueError("elapsed_s must be >= 0")
-    energy = np.asarray(energy_pj, dtype=np.float64)
-    operational = np.asarray(operational, dtype=bool)
     cycles = int(math.floor(elapsed_s / params.cycle_duration_s
                             + _CYCLE_COUNT_EPS))
     if cycles == 0:
-        return energy.copy(), operational.copy()
-    e_max = params.max_storage_pj
-    charging = energy < e_max
+        return
+    charging = energy_pj < params.max_storage_pj
     # A full node stays full.  Its curve runs from empty instead, away from
     # the log's pole at max_storage_pj, and the result is discarded.
-    n = _cycle_positions(np.where(charging, energy, 0.0), params) + cycles
+    n = _cycle_positions(np.where(charging, energy_pj, 0.0), params) + cycles
     charged = 1.0 - np.exp(-params.cycle_exponent * n)
-    out = np.where(charging, e_max * charged * charged, e_max)
-    turned_on = operational | (out >= params.effective_turn_on_pj)
-    return out, turned_on
+    np.copyto(energy_pj, params.max_storage_pj * charged * charged,
+              where=charging)
+    operational |= energy_pj >= params.effective_turn_on_pj

@@ -8,9 +8,10 @@ of the anchor plane (nodes live above it).  The linear estimate is then
 refined by damped Gauss-Newton iterations on the full nonlinear range
 residuals.
 
-The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks and sums
-(dx*dx + dy*dy) + dz*dz, add.reduce's left-to-right order over an axis shorter
-than 8, so ranges keep norm()'s bits.  J^T and J are separate C-ordered stacks:
+The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
+length, norm() included, is _norm3's (dx*dx + dy*dy) + dz*dz: add.reduce's
+left-to-right order over an axis shorter than 8, so it keeps the bits of
+np.linalg.norm(v, axis=-1).  J^T and J are separate C-ordered stacks:
 J^T @ J on one buffer runs as BLAS syrk per 3x3 product, on two as faster gemm.
 """
 
@@ -161,12 +162,13 @@ def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1), same arithmetic, less call overhead."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    """Euclidean length of 3-vectors along the last axis."""
+    return _norm3(v[..., 0], v[..., 1], v[..., 2])
 
 
 def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """norm() of vectors given as components, in add.reduce's order."""
+    """Length of vectors given as components, summed in
+    np.linalg.norm(v, axis=-1)'s order (add.reduce's, left to right)."""
     return np.sqrt((x * x + y * y) + z * z)
 
 

@@ -64,11 +64,12 @@ def measure_batch(feasible: np.ndarray, energy_pj: np.ndarray,
     """One ranging round for each of n nodes against m controllers: the
     protocol's energy ledger.
 
-    feasible, shape (n, m), is the link budget's verdict (from
-    channel.received_power_batch).  energy_pj and operational, shape (n,),
-    are debited in place.  Returns failure_code: SUCCESS where all m
-    exchanges succeeded, otherwise the code of the node's first failure.
-    The round returns as soon as no node is still active.
+    feasible, shape (n, m), is the link budget's verdict (the received
+    field of channel.received_power over the distances).  energy_pj and
+    operational, shape (n,), are debited in place.  Returns failure_code:
+    SUCCESS where all m exchanges succeeded, otherwise the code of the
+    node's first failure.  The round returns as soon as no node is still
+    active.
     """
     n, m = feasible.shape
     failure_code = np.zeros(n, dtype=np.int8)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nanoloc.channel import ChannelParams, received_power_batch
+from nanoloc.channel import ChannelParams, received_power
 from nanoloc.energy import (HarvesterParams, harvest_batch, may_pay,
                             spend_batch)
 from nanoloc.locate import AnchorSet, norm, trilaterate_batch
@@ -138,7 +138,7 @@ def _place(config: SimConfig, anchors: AnchorSet,
     n_nodes = config.grid_rows * config.grid_cols - 4
     positions = rng.uniform([0.0, 0.0, 0.0], [d, d, d / 2.0], size=(n_nodes, 3))
     distances = norm(positions[:, None, :] - anchors.positions)
-    _, feasible = received_power_batch(config.channel, distances)
+    feasible = received_power(config.channel, distances).received
     nearest = np.argmin(distances, axis=1)
     return Topology(anchors=anchors, node_true_positions=positions,
                     distances_m=distances, feasible=feasible,
@@ -182,9 +182,10 @@ class WorldState:
     draw_free: _DrawFreeRecord | None = None
 
 
-def initial_world(config: SimConfig, topology: Topology | None = None) -> WorldState:
-    if topology is None:
-        topology = build_topology(config)
+def initial_world(config: SimConfig) -> WorldState:
+    """A new placement (build_topology) with every node at the configured
+    initial energy."""
+    topology = build_topology(config)
     e0 = (config.harvester.max_storage_pj
           if config.initial_energy_pj is None else config.initial_energy_pj)
     n = topology.node_count
@@ -273,8 +274,7 @@ def run_iteration(state: WorldState, config: SimConfig,
                     topo.packet_link, harvester)
 
     # Harvesting phase.
-    energy[:], operational[:] = harvest_batch(
-        energy, operational, config.update_period_s, harvester)
+    harvest_batch(energy, operational, config.update_period_s, harvester)
 
     result = IterationResult(success=success, failure_code=failure_code,
                              measured=measured)
@@ -323,9 +323,9 @@ def run_simulation(config: SimConfig) -> TrialReport:
     Every (node, iteration) pair counts as one localization attempt,
     including nodes that are off.
     """
-    topology = build_topology(config)
-    world = initial_world(config, topology)
-    n = topology.node_count
+    world = initial_world(config)
+    # Mobility moves the nodes, never the controllers or the node count.
+    anchors, n = world.topology.anchors, world.topology.node_count
 
     per_iteration: list[int] = []
     samples: list[np.ndarray] = []
@@ -347,7 +347,7 @@ def run_simulation(config: SimConfig) -> TrialReport:
             pending -= solved
             for start in range(0, solved, _LOCATE_CHUNK_ROWS):
                 chunk = slice(start, min(start + _LOCATE_CHUNK_ROWS, solved))
-                estimates = trilaterate_batch(topology.anchors, rows[chunk])
+                estimates = trilaterate_batch(anchors, rows[chunk])
                 samples.append(norm(estimates - points[chunk]))
                 if not np.all(np.isfinite(samples[-1])):
                     raise ValueError("non-finite localization error: "

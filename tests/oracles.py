@@ -39,9 +39,9 @@ def harvest(state: EnergyState, elapsed_s: float,
     reaches the effective turn-on threshold.  Zero whole cycles leave the
     state unchanged.  A one-node harvest_batch.
     """
-    energy, operational = harvest_batch(np.array([state.energy_pj]),
-                                        np.array([state.operational]),
-                                        elapsed_s, params)
+    energy = np.array([state.energy_pj], dtype=np.float64)
+    operational = np.array([state.operational], dtype=bool)
+    harvest_batch(energy, operational, elapsed_s, params)
     return EnergyState(float(energy[0]), bool(operational[0]))
 
 

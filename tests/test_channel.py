@@ -8,7 +8,7 @@ import pytest
 from nanoloc.channel import (SPEED_OF_LIGHT_M_S, ChannelParams,
                              absorption_coefficient,
                              load_absorption_table, raw_resolution,
-                             received_power, received_power_batch)
+                             received_power)
 
 
 def params(**overrides):
@@ -99,27 +99,37 @@ class TestReceivedPower:
         assert all(a < b for a, b in zip(losses, losses[1:]))
 
     def test_zero_distance_rejected(self):
-        # Zero, negative and NaN distances, alone and as one entry of a
-        # batch, share the link budget's one check.
+        # Zero, negative and NaN distances, alone and as one entry of an
+        # array, are rejected.
         for distance in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 received_power(params(), distance)
             with pytest.raises(ValueError):
-                received_power_batch(params(), np.array([1e-3, distance]))
+                received_power(params(), np.array([1e-3, distance]))
 
     def test_batch_matches_scalar(self):
+        # An array of distances gives, field by field and bit for bit, the
+        # results of one call per distance, in the array's shape.
         chan = params(absorption_table=((5e11, 0.4), (2e12, 1.3)))
-        distances = np.geomspace(1e-4, 0.5, 25)
-        rx, received = received_power_batch(chan, distances)
+        distances = np.geomspace(1e-4, 0.5, 25).reshape(5, 5)
+        batch = received_power(chan, distances)
+        fields = ("received_power_dbm", "spreading_loss_db",
+                  "absorption_loss_db", "received")
+        for name in fields:
+            assert getattr(batch, name).shape == distances.shape
         # The module-docstring formula, with k(1 THz) interpolated by hand
         # between the two table entries.
         k = 0.4 + (1.3 - 0.4) * (1e12 - 5e11) / (2e12 - 5e11)
-        for i, d in enumerate(distances):
+        for index, d in np.ndenumerate(distances):
+            single = received_power(chan, float(d))
+            for name in fields:
+                assert getattr(batch, name)[index] == getattr(single, name), name
             expected = (-20.0 - k * d * 10.0 * math.log10(math.e)
                         - 20.0 * math.log10(4.0 * math.pi * 1e12 * d
                                             / 2.99792458e8))
-            assert rx[i] == pytest.approx(expected, abs=1e-12)
-            assert bool(received[i]) == (expected >= -100.0)
+            assert single.received_power_dbm == pytest.approx(expected,
+                                                              abs=1e-12)
+            assert bool(single.received) == (expected >= -100.0)
 
 
 class TestRawResolution:

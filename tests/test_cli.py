@@ -419,6 +419,16 @@ class TestMain:
         assert code == 1
         capsys.readouterr()
 
+    def test_unreachable_turn_on_is_an_error(self, tmp_path, capsys):
+        # Above the 800 pJ storage a node could never turn on.
+        config = self.config_path(tmp_path, turn_on_threshold_pj=900)
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert "turn_on_threshold_pj" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_integer_is_an_error(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"

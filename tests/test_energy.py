@@ -312,6 +312,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             default_params(turn_on_threshold_pj=-1.0)
 
+    def test_rejects_turn_on_above_capacity(self):
+        # The charging curve never exceeds max_storage_pj, so such a node
+        # would never turn on.
+        for value in (np.nextafter(800.0, np.inf), 900.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="turn_on_threshold_pj"):
+                default_params(turn_on_threshold_pj=value)
+        # A full start is on, and the curve reaches max_storage_pj exactly.
+        params = default_params(turn_on_threshold_pj=800.0)
+        assert params.effective_turn_on_pj == 800.0
+        assert energy_at_cycle(10**6, params) == 800.0
+
 
 def _curve_oracle(energy_pj, params):
     """Smallest whole k with energy_at_cycle(k) >= energy_pj, found by
@@ -349,9 +360,10 @@ class TestHarvestBatch:
         flags = rng.random(energies.size) < 0.5
         self._check_against_curve(energies, flags)
         # A full node in the batch leaves the others' bits as they are.
-        with_full, _ = harvest_batch(np.append(energies, 800.0),
-                                     np.append(flags, True), 0.1, PARAMS)
-        alone, _ = harvest_batch(energies, flags, 0.1, PARAMS)
+        with_full = np.append(energies, 800.0)
+        harvest_batch(with_full, np.append(flags, True), 0.1, PARAMS)
+        alone = energies.copy()
+        harvest_batch(alone, flags.copy(), 0.1, PARAMS)
         assert np.array_equal(alone, with_full[:-1])
 
     @staticmethod
@@ -360,7 +372,8 @@ class TestHarvestBatch:
                  for e in energies]
         # 0.37 s is 18.5 cycles of 20 ms: the remainder is discarded.
         for elapsed, cycles in [(0.0, 0), (0.02, 1), (0.1, 5), (0.37, 18)]:
-            batch_e, batch_op = harvest_batch(energies, flags, elapsed, PARAMS)
+            batch_e, batch_op = energies.copy(), flags.copy()
+            harvest_batch(batch_e, batch_op, elapsed, PARAMS)
             for i in range(energies.size):
                 if cycles == 0:
                     expected, on = energies[i], bool(flags[i])
@@ -371,9 +384,18 @@ class TestHarvestBatch:
                 assert batch_e[i] == pytest.approx(expected, abs=1e-9)
                 assert bool(batch_op[i]) == on
 
-    def test_inputs_not_modified(self):
-        energies = np.array([5.0, 700.0])
+    def test_updates_in_place(self):
+        energies = np.array([9.9, 700.0])
         flags = np.array([False, True])
-        harvest_batch(energies, flags, 0.5, PARAMS)
-        assert energies.tolist() == [5.0, 700.0]
+        # 10 ms is no whole 20 ms cycle: nothing changes.
+        assert harvest_batch(energies, flags, 0.01, PARAMS) is None
+        assert energies.tolist() == [9.9, 700.0]
         assert flags.tolist() == [False, True]
+        # 0.1 s is five cycles: the curve values land in the given arrays,
+        # and the first node charges past its 10 pJ turn-on level.
+        expected = [energy_at_cycle(_curve_oracle(e, PARAMS) + 5, PARAMS)
+                    for e in (9.9, 700.0)]
+        assert harvest_batch(energies, flags, 0.1, PARAMS) is None
+        assert energies.tolist() == pytest.approx(expected, abs=1e-9)
+        assert energies[0] >= 10.0 and energies[1] > 700.0
+        assert flags.tolist() == [True, True]

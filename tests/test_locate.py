@@ -9,9 +9,10 @@ import pytest
 from nanoloc import locate
 from nanoloc.channel import raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError,
-                            localization_error, norm, trilaterate,
+                            _norm3, localization_error, trilaterate,
                             trilaterate_batch)
-from nanoloc.sim import _LOCATE_CHUNK_ROWS, SimConfig, build_topology
+from nanoloc.sim import (_LOCATE_CHUNK_ROWS, SimConfig, build_topology,
+                         initial_world, run_iteration)
 
 L = 21.6e-3
 CORNERS = AnchorSet(positions=np.array([
@@ -266,12 +267,13 @@ class TestNumpyOrder:
     either, TestRefinementBitExact fails; these say which assumption broke."""
 
     def test_norm_sums_components_left_to_right(self):
+        # The pinned result hashes were first computed with np.linalg.norm.
         rng = np.random.default_rng(31)
         v = rng.standard_normal((100_000, 3)) * 10.0 ** rng.uniform(-6, 2, (100_000, 3))
         x, y, z = v.T
-        assert np.array_equal(norm(v), np.sqrt((x * x + y * y) + z * z)), (
+        assert np.array_equal(_norm3(x, y, z), np.linalg.norm(v, axis=-1)), (
             "numpy's add.reduce no longer sums a length-3 axis left to right: "
-            "locate._norm3 must change its order to keep norm()'s bits")
+            "locate._norm3 must change its order to keep np.linalg.norm's bits")
 
     def test_contiguous_transpose_product_equals_swapaxes_view(self):
         rng = np.random.default_rng(32)
@@ -344,6 +346,53 @@ class TestRefinementMemory:
             if started:
                 tracemalloc.stop()
         assert peak / _LOCATE_CHUNK_ROWS < 440
+
+
+def _horizontal_crlb(points: np.ndarray, anchor_pos: np.ndarray,
+                     sigma: float) -> np.ndarray:
+    """Cramér-Rao bound on the squared horizontal error of an unbiased
+    estimate at each point, for range noise of standard deviation sigma:
+    sigma^2 trace of the xy block of (J^T J)^-1, J's rows being the unit
+    vectors from the anchors to the point."""
+    diff = points[:, None, :] - anchor_pos[None, :, :]
+    unit = diff / np.linalg.norm(diff, axis=2, keepdims=True)
+    info = np.einsum("kai,kaj->kij", unit, unit)
+    a, b, c = info[:, :2, :2], info[:, :2, 2], info[:, 2, 2]
+    # The xy block of the inverse is the inverse of the Schur complement
+    # F = A - b b^T / c, which stays well conditioned for nodes near the
+    # anchor plane, where c and b vanish together.
+    f = a - b[:, :, None] * b[:, None, :] / c[:, None, None]
+    det = f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0]
+    return sigma ** 2 * (f[:, 0, 0] + f[:, 1, 1]) / det
+
+
+class TestCramerRaoBound:
+    def test_defaults_reach_the_horizontal_bound(self):
+        # Seed-0 defaults: every successful row of the run, solved in the
+        # simulator's chunks.  The bound comes from the true positions and
+        # anchors alone; the tolerance is four standard errors of the mean
+        # squared error, from the rows' own spread.
+        config = SimConfig()
+        world = initial_world(config)
+        anchors = world.topology.anchors
+        measured, truth = [], []
+        for t in range(config.iterations):
+            result = run_iteration(world, config, t)
+            if result.success_count:
+                measured.append(result.measured)
+                truth.append(world.topology.node_true_positions[result.success])
+        measured, truth = np.concatenate(measured), np.concatenate(truth)
+        estimates = np.concatenate([
+            trilaterate_batch(anchors, measured[start:start + _LOCATE_CHUNK_ROWS])
+            for start in range(0, len(measured), _LOCATE_CHUNK_ROWS)])
+        squared = np.sum((estimates - truth)[:, :2] ** 2, axis=1)
+        bound = _horizontal_crlb(truth, anchors.positions,
+                                 raw_resolution(config.channel.bandwidth_hz))
+        ratio = squared.mean() / bound.mean()
+        se = squared.std(ddof=1) / math.sqrt(squared.size) / bound.mean()
+        assert abs(ratio - 1.0) <= 4.0 * se, (
+            f"mean squared xy error / CRLB = {ratio:.5f}, "
+            f"z = {(ratio - 1.0) / se:.2f} over {squared.size} rows")
 
 
 class TestLocalizationError:

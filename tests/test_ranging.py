@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from nanoloc import ranging
-from nanoloc.channel import (ChannelParams, raw_resolution,
-                             received_power_batch)
+from nanoloc.channel import ChannelParams, raw_resolution, received_power
 from nanoloc.energy import HarvesterParams, spend_batch
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
                              RadioParams, measure_batch, range_estimates)
@@ -28,11 +27,11 @@ SIGMA = raw_resolution(1e12)
 
 def node_round(distances, state, chan=None, params=None):
     """One node's round as a one-row measure_batch call, one controller per
-    distance; the link verdicts come from received_power_batch.  Returns
+    distance; the link verdicts come from received_power.  Returns
     (failure code, state after)."""
     chan = chan or channel()
     d = np.asarray(distances, dtype=np.float64).reshape(1, -1)
-    _, feasible = received_power_batch(chan, d)
+    feasible = received_power(chan, d).received
     energy = np.array([state.energy_pj])
     operational = np.array([state.operational])
     code = measure_batch(feasible, energy, operational, RADIO,

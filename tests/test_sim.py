@@ -118,9 +118,9 @@ class TestRunIteration:
         assert np.all(result.failure_code == CODE_NODE_DEPLETED)
         assert result.measured.shape == (0, 4)
         # Nothing was paid: the period only harvested from empty.
-        harvested, _ = harvest_batch(np.zeros(world.topology.node_count),
-                                     np.zeros(world.topology.node_count, bool),
-                                     config.update_period_s, config.harvester)
+        harvested = np.zeros(world.topology.node_count)
+        harvest_batch(harvested, np.zeros(world.topology.node_count, bool),
+                      config.update_period_s, config.harvester)
         assert np.array_equal(world.energy_pj, harvested)
 
     def test_out_of_range_node_fails_with_reason(self):
