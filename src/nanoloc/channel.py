@@ -36,6 +36,8 @@ def _validate_table(table: AbsorptionTable) -> None:
     if len(table) == 0:
         raise ValueError("absorption table must not be empty")
     freqs = [f for f, _ in table]
+    if not all(math.isfinite(f) for f in freqs):
+        raise ValueError("absorption table frequencies must be finite")
     if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
         raise ValueError("absorption table frequencies must be strictly increasing")
     if any(k < 0 or not math.isfinite(k) for _, k in table):

@@ -68,9 +68,20 @@ class HarvesterParams:
         if not self.turn_off_threshold_pj < self.max_storage_pj:
             raise ValueError(
                 "turn_off_threshold_pj must be below max_storage_pj")
-        cap = self.capacitance_f
-        if not (math.isfinite(cap) and cap > 0):
-            raise ValueError("derived capacitance must be finite and positive")
+        # V_g ** 2 raises OverflowError, or underflows to 0 and the division
+        # raises ZeroDivisionError; a cycle_exponent that underflows to 0
+        # would stall the charging curve and make its inverse NaN.
+        for name, inputs in (
+                ("capacitance_f", "max_storage_pj and generator_voltage_v"),
+                ("cycle_exponent", "charge_per_cycle_pc, generator_voltage_v "
+                                   "and max_storage_pj")):
+            try:
+                value = getattr(self, name)
+            except (ZeroDivisionError, OverflowError):
+                value = math.nan
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{inputs} must give a finite, positive {name}")
 
     @property
     def capacitance_f(self) -> float:

@@ -22,11 +22,12 @@ Each iteration draws node-major from its own substream, in a fixed order
 a period with nothing to draw creates no substream.  A skipped draw is
 never followed by a consumed one in the same substream, so a run is a
 pure function of its config.
-A draw-free period is then a function of the node state (energy and
-operational flags), which lives on the charging curve's lattice and so
-recurs once a static network has drained: run_iteration records the
-draw-free periods since the last draw and replays a recorded one instead
-of simulating it again, with the same outcome and end state.
+A draw-free period is then a function of its start state (energy and
+operational flags), topology and config, whatever came before it.  The
+state lives on the charging curve's lattice and so recurs once a static
+network has drained: run_iteration memoizes every draw-free period by its
+start state and replays a memoized one instead of simulating it again,
+with the same outcome and end state.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ _ITERATION_STREAM = 1
 # Rows per trilaterate_batch call; bounds the solver's working memory.
 _LOCATE_CHUNK_ROWS = 2048
 
-# Draw-free periods one WorldState records; bounds the record's memory.  A
-# drained static run recurs with at most 12 periods recorded (criterion 4 at
-# 2 pC); a longer draw-free stretch that never recurs fills and restarts the
-# record without replaying.
+# Draw-free periods one WorldState memoizes; bounds the memo's memory.  A
+# drained static run recurs within 12 draw-free periods (criterion 4 at
+# 2 pC); a longer draw-free stretch that never recurs fills and clears the
+# memo without replaying.
 _DRAW_FREE_CAP = 32
 
 Seed = int | tuple[int, ...]
@@ -94,6 +95,10 @@ class SimConfig:
             raise ValueError("spacing_m must be strictly positive")
         if not (math.isfinite(self.update_period_s) and self.update_period_s > 0):
             raise ValueError("update_period_s must be strictly positive")
+        if not math.isfinite(self.update_period_s
+                             / self.harvester.cycle_duration_s):
+            raise ValueError("update_period_s must hold a finite number of "
+                             "cycle_duration_s harvesting cycles")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.workers < 1:
@@ -159,27 +164,15 @@ def build_topology(config: SimConfig) -> Topology:
 
 
 @dataclass
-class _DrawFreeRecord:
-    """Draw-free periods since the last draw, under one topology and config:
-    each period's exact start state (energy then operational bytes) mapped
-    to its read-only result, end energy and end operational flags."""
-
-    topology: Topology
-    config: SimConfig
-    periods: dict[bytes, tuple[IterationResult, np.ndarray, np.ndarray]] = \
-        field(default_factory=dict)
-
-
-@dataclass
 class WorldState:
     """Mutable per-node state threaded through the iterations."""
 
     topology: Topology
     energy_pj: np.ndarray        # (n,) float64
     operational: np.ndarray      # (n,) bool
-    # None until a period draws nothing, and again after each period that
-    # draws (see run_iteration).
-    draw_free: _DrawFreeRecord | None = None
+    # Start-state bytes -> (topology, config, result, end energy, end
+    # operational) of a period that drew nothing (see run_iteration).
+    draw_free: dict[bytes, tuple] = field(default_factory=dict)
 
 
 def initial_world(config: SimConfig) -> WorldState:
@@ -219,28 +212,19 @@ def run_iteration(state: WorldState, config: SimConfig,
     succeeded or a packet is payable), packet bits (when a packet is
     payable).  Bits are the last draw, so a skipped one moves no value.
 
-    A period that draws nothing is a function of the start state
-    (energy_pj, operational) under a fixed topology and config, so
-    state.draw_free records each such period since the last draw, up to
-    _DRAW_FREE_CAP of them (a full record starts over).  A period that
-    starts in a recorded state copies the recorded end state into the
-    state's arrays and returns the recorded result.  A recorded result's
-    arrays are read-only, from the period that recorded it on.  A period
-    that draws drops the record; so does a change of topology or config
-    object.  Keys are built only after a period that drew nothing, so a
-    run that draws every period never builds one.
+    A period that draws nothing is a function of its start state
+    (energy_pj, operational), topology and config, so state.draw_free
+    memoizes every such period by its start state, up to _DRAW_FREE_CAP
+    of them (a full memo is cleared).  A period whose start state is
+    memoized under the same topology and config objects copies the
+    memoized end state into the state's arrays and returns the memoized
+    result, whose arrays are read-only from the period that stored it on.
     """
-    record = state.draw_free
-    key = None
-    if record is not None:
-        if record.topology is state.topology and record.config is config:
-            key = state.energy_pj.tobytes() + state.operational.tobytes()
-            replay = record.periods.get(key)
-            if replay is not None:
-                result, state.energy_pj[:], state.operational[:] = replay
-                return result
-        else:
-            record = None
+    key = state.energy_pj.tobytes() + state.operational.tobytes()
+    memo = state.draw_free.get(key)
+    if memo is not None and memo[0] is state.topology and memo[1] is config:
+        result, state.energy_pj[:], state.operational[:] = memo[2:]
+        return result
 
     radio = config.radio
     harvester = config.harvester
@@ -278,18 +262,15 @@ def run_iteration(state: WorldState, config: SimConfig,
 
     result = IterationResult(success=success, failure_code=failure_code,
                              measured=measured)
-    if rng is not None:
-        state.draw_free = None
-    elif record is None:
-        state.draw_free = _DrawFreeRecord(topo, config)
-    else:
-        if len(record.periods) == _DRAW_FREE_CAP:
-            record.periods.clear()
+    if rng is None:
+        if len(state.draw_free) == _DRAW_FREE_CAP:
+            state.draw_free.clear()
         end_energy, end_operational = energy.copy(), operational.copy()
         for array in (success, failure_code, measured, end_energy,
                       end_operational):
             array.flags.writeable = False
-        record.periods[key] = (result, end_energy, end_operational)
+        state.draw_free[key] = (topo, config, result, end_energy,
+                                end_operational)
     return result
 
 
@@ -340,26 +321,23 @@ def run_simulation(config: SimConfig) -> TrialReport:
             truth.append(world.topology.node_true_positions[result.success])
             pending += count
         last = t == config.iterations - 1
-        if pending >= _LOCATE_CHUNK_ROWS or (last and pending):
-            solved = pending if last else pending - pending % _LOCATE_CHUNK_ROWS
+        while pending >= _LOCATE_CHUNK_ROWS or (last and pending):
+            size = min(pending, _LOCATE_CHUNK_ROWS)
             rows, points = np.concatenate(measured), np.concatenate(truth)
-            measured, truth = [rows[solved:]], [points[solved:]]
-            pending -= solved
-            for start in range(0, solved, _LOCATE_CHUNK_ROWS):
-                chunk = slice(start, min(start + _LOCATE_CHUNK_ROWS, solved))
-                estimates = trilaterate_batch(anchors, rows[chunk])
-                samples.append(norm(estimates - points[chunk]))
-                if not np.all(np.isfinite(samples[-1])):
-                    raise ValueError("non-finite localization error: "
-                                     "c/B range noise overflows")
+            measured, truth = [rows[size:]], [points[size:]]
+            pending -= size
+            estimates = trilaterate_batch(anchors, rows[:size])
+            samples.append(norm(estimates - points[:size]))
+            if not np.all(np.isfinite(samples[-1])):
+                raise ValueError("non-finite localization error: "
+                                 "c/B range noise overflows")
 
-    errors = (np.concatenate(samples) if samples else np.empty(0))
+    errors = np.concatenate(samples) if samples else np.empty(0)
     successes = int(sum(per_iteration))
     attempts = n * config.iterations
     return TrialReport(
         mean_error_m=float(errors.mean()) if errors.size else float("nan"),
-        p90_error_m=(nearest_rank_percentile(errors, 90.0)
-                     if errors.size else float("nan")),
+        p90_error_m=nearest_rank_percentile(errors, 90.0),
         availability=(successes / attempts) if attempts else float("nan"),
         attempts=attempts,
         successes=successes,

@@ -182,6 +182,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             params(absorption_table=((1e12, -0.1),))
 
+    @pytest.mark.parametrize("frequency_hz", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, frequency_hz):
+        # NaN compares false, so it would pass the increasing-order check.
+        with pytest.raises(ValueError, match="finite"):
+            params(absorption_table=((1e12, 0.1), (frequency_hz, 0.5)))
+
 
 class TestLoadAbsorptionTable:
     def test_round_trip(self, tmp_path):
@@ -219,4 +225,12 @@ class TestLoadAbsorptionTable:
         path.write_text("frequency_hz,k_per_m\n2e12,0.0\n1e12,0.1\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="increasing"):
+            load_absorption_table(path)
+
+    @pytest.mark.parametrize("row", ["nan,0.5", "inf,1.0"])
+    def test_non_finite_frequency(self, tmp_path, row):
+        path = tmp_path / "k.csv"
+        path.write_text(f"frequency_hz,k_per_m\n1e12,0.0\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="finite"):
             load_absorption_table(path)

@@ -429,6 +429,34 @@ class TestMain:
         assert "turn_on_threshold_pj" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("extra, table_row, named", [
+        # V_g ** 2 under- and overflows.
+        ({"generator_voltage_v": 1e-300}, None, "capacitance_f"),
+        ({"generator_voltage_v": 1e200}, None, "capacitance_f"),
+        # The per-cycle decay rate underflows to 0.
+        ({"charge_per_cycle_pc": 1e-320}, None, "cycle_exponent"),
+        # An infinite number of harvesting cycles per period.
+        ({"cycle_duration_s": 1e-320}, None, "update_period_s"),
+        ({}, "nan,0.5", "finite"),
+        ({}, "inf,1.0", "finite"),
+    ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "cycle_tiny",
+            "table_nan", "table_inf"])
+    def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
+                                        table_row, named):
+        if table_row is not None:
+            (tmp_path / "k.csv").write_text(
+                f"frequency_hz,k_per_m\n1e12,0.0\n{table_row}\n",
+                encoding="utf-8")
+            extra = {"absorption_table_path": "k.csv"}
+        code = main(["run", "--config",
+                     str(self.config_path(tmp_path, **extra))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_integer_is_an_error(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"

@@ -338,7 +338,7 @@ _HARVEST_2PC = dataclasses.replace(SimConfig().harvester,
 
 def _drained_world(config: SimConfig) -> WorldState:
     """A world run through config.iterations periods: a drained one ends in
-    a recurring draw-free state that its record holds."""
+    a recurring draw-free state that its memo holds."""
     world = initial_world(config)
     for t in range(config.iterations):
         run_iteration(world, config, t)
@@ -346,8 +346,10 @@ def _drained_world(config: SimConfig) -> WorldState:
 
 
 class TestDrawFreeReplay:
-    """A draw-free period that starts in a state recorded since the last
-    draw is replayed from the record instead of simulated."""
+    """Every draw-free period is memoized by its start state, whatever came
+    before it; a period that starts in a memoized state under the same
+    topology and config objects is replayed from the memo instead of
+    simulated."""
 
     @pytest.mark.parametrize("overrides", [
         dict(initial_energy_pj=10.0),
@@ -370,7 +372,7 @@ class TestDrawFreeReplay:
             before = len(harvests)
             got = run_iteration(replaying, config, t)
             replayed += len(harvests) == before
-            simulated.draw_free = None
+            simulated.draw_free.clear()
             want = run_iteration(simulated, config, t)
             assert np.array_equal(got.failure_code, want.failure_code), t
             assert np.array_equal(got.success, want.success), t
@@ -385,7 +387,7 @@ class TestDrawFreeReplay:
         config = small_config(initial_energy_pj=10.0)
         world = _drained_world(config)
         # Sanity: with the same objects the next period is a replay.  The
-        # copy shares the record, and a replay leaves the record as it is.
+        # copy shares the memo, and a replay leaves the memo as it is.
         harvests = count_harvests(monkeypatch)
         twin = dataclasses.replace(world, energy_pj=world.energy_pj.copy(),
                                    operational=world.operational.copy())
@@ -407,6 +409,21 @@ class TestDrawFreeReplay:
         assert np.array_equal(world.energy_pj, fresh.energy_pj)
         assert np.array_equal(world.operational, fresh.operational)
 
+    def test_replay_survives_a_drawing_period(self, monkeypatch):
+        config = small_config(initial_energy_pj=10.0)
+        world = _drained_world(config)
+        drained = world.energy_pj.copy(), world.operational.copy()
+        harvests = count_harvests(monkeypatch)
+        # From full storage the period ranges, so it draws.
+        world.energy_pj[:] = config.harvester.max_storage_pj
+        world.operational[:] = True
+        assert run_iteration(world, config, config.iterations).success.any()
+        assert len(harvests) == 1
+        # Back in the drained state, the memoized period is replayed.
+        world.energy_pj[:], world.operational[:] = drained
+        run_iteration(world, config, config.iterations + 1)
+        assert len(harvests) == 1
+
     def test_record_stays_within_its_cap(self):
         # 621 nodes with a 200 pJ turn-on level: long draw-free stretches
         # whose states never recur.
@@ -416,8 +433,7 @@ class TestDrawFreeReplay:
         sizes = []
         for t in range(config.iterations):
             run_iteration(world, config, t)
-            if world.draw_free is not None:
-                sizes.append(len(world.draw_free.periods))
+            sizes.append(len(world.draw_free))
         assert max(sizes) == _DRAW_FREE_CAP
 
     def test_replayed_result_is_read_only(self, monkeypatch):
