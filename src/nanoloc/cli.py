@@ -362,8 +362,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigurationError("--seed must be non-negative")
             config = dataclasses.replace(config, rng_seed=args.seed)
         if args.command == "run":
             report = run_simulation(config)
@@ -376,7 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             emit_results(rows, args.out, args.format)
         else:
             print(format_summary(rows))
-    except (ConfigurationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     return 0

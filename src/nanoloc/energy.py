@@ -68,20 +68,20 @@ class HarvesterParams:
         if not self.turn_off_threshold_pj < self.max_storage_pj:
             raise ValueError(
                 "turn_off_threshold_pj must be below max_storage_pj")
-        # V_g ** 2 raises OverflowError, or underflows to 0 and the division
-        # raises ZeroDivisionError; a cycle_exponent that underflows to 0
-        # would stall the charging curve and make its inverse NaN.
-        for name, inputs in (
-                ("capacitance_f", "max_storage_pj and generator_voltage_v"),
-                ("cycle_exponent", "charge_per_cycle_pc, generator_voltage_v "
-                                   "and max_storage_pj")):
-            try:
-                value = getattr(self, name)
-            except (ZeroDivisionError, OverflowError):
-                value = math.nan
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{inputs} must give a finite, positive {name}")
+        # The highest storable level bounds every cycle position that
+        # harvest_batch inverts.  V_g ** 2 raises OverflowError, or
+        # underflows to 0 and the division raises ZeroDivisionError.
+        try:
+            with np.errstate(all="ignore"):
+                top = _cycle_positions(
+                    np.nextafter(self.max_storage_pj, 0.0), self)
+        except (ZeroDivisionError, OverflowError):
+            top = math.nan
+        if not 0 < top < math.inf:
+            raise ValueError(
+                "charge_per_cycle_pc, generator_voltage_v and max_storage_pj "
+                "must give a capacitance_f and cycle_exponent whose charging "
+                "curve inverts to a finite, positive cycle below full storage")
 
     @property
     def capacitance_f(self) -> float:

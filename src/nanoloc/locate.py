@@ -9,10 +9,11 @@ refined by damped Gauss-Newton iterations on the full nonlinear range
 residuals.
 
 The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
-length, norm() included, is _norm3's (dx*dx + dy*dy) + dz*dz: add.reduce's
-left-to-right order over an axis shorter than 8, so it keeps the bits of
-np.linalg.norm(v, axis=-1).  J^T and J are separate C-ordered stacks:
-J^T @ J on one buffer runs as BLAS syrk per 3x3 product, on two as faster gemm.
+length in the package is _norm3's (dx*dx + dy*dy) + dz*dz (norm() is its
+vector form): add.reduce's left-to-right order over an axis shorter than 8,
+so it keeps the bits of numpy's norm over the last axis.  J^T and J are
+separate C-ordered stacks: J^T @ J on one buffer runs as BLAS syrk per 3x3
+product, on two as faster gemm.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class AnchorSet:
     def span_m(self) -> float:
         """Largest pairwise anchor separation; scales tolerances."""
         pos = self.positions
-        return float(max(np.linalg.norm(pos[i] - pos[j])
-                         for i in range(4) for j in range(i + 1, 4)))
+        return float(norm(pos[:, None, :] - pos[None, :, :]).max())
 
     @cached_property
     def coplanar_z(self) -> bool:
@@ -116,7 +116,7 @@ def localization_error(true_position_m: Sequence[float] | np.ndarray,
         raise ValueError("positions must be 3D points")
     if not (np.all(np.isfinite(true_pos)) and np.all(np.isfinite(estimated))):
         raise ValueError("positions must be finite")
-    return float(np.linalg.norm(true_pos - estimated))
+    return float(norm(true_pos - estimated))
 
 
 def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
@@ -129,8 +129,6 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     d = np.maximum(np.asarray(distances_m, dtype=np.float64), 0.0)
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError("distances_m must have shape (m, 4)")
-    if d.shape[0] == 0:
-        return np.empty((0, 3))
     estimate = _linear_estimate(anchors, d)
     if refine:
         estimate = _gauss_newton_batch(anchors.positions, d, estimate)
@@ -167,8 +165,8 @@ def norm(v: np.ndarray) -> np.ndarray:
 
 
 def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Length of vectors given as components, summed in
-    np.linalg.norm(v, axis=-1)'s order (add.reduce's, left to right)."""
+    """Length of vectors given as components, summed in the order of
+    numpy's norm over the last axis (add.reduce's, left to right)."""
     return np.sqrt((x * x + y * y) + z * z)
 
 

@@ -56,6 +56,10 @@ class RadioParams:
             raise ValueError("energy_tx_pulse_pj must be strictly positive")
         if self.packet_bits < 1:
             raise ValueError("packet_bits must be >= 1")
+        # A packet of all ones costs packet_bits receptions.
+        if not math.isfinite(self.packet_bits * self.energy_rx_pulse_pj):
+            raise ValueError("energy_rx_pulse_pj must give a finite cost "
+                             "for a packet of packet_bits pulses")
 
 
 def measure_batch(feasible: np.ndarray, energy_pj: np.ndarray,

@@ -68,10 +68,11 @@ def substream(seed: Seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + key))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Complete configuration of one simulation run; SimConfig() is the
-    default setup."""
+    default setup.  Frozen like its parameter types, as run_iteration's
+    memo tells configs apart by identity."""
 
     harvester: HarvesterParams = field(default_factory=HarvesterParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
@@ -196,10 +197,6 @@ class IterationResult:
     failure_code: np.ndarray     # (n,) int8; SUCCESS where success
     measured: np.ndarray         # (successes, 4) ranges, in node order
 
-    @property
-    def success_count(self) -> int:
-        return int(np.count_nonzero(self.success))
-
 
 def run_iteration(state: WorldState, config: SimConfig,
                   t: int) -> IterationResult:
@@ -309,11 +306,11 @@ def run_simulation(config: SimConfig) -> TrialReport:
     anchors, n = world.topology.anchors, world.topology.node_count
 
     per_iteration: list[int] = []
-    samples: list[np.ndarray] = []
+    samples = [np.empty(0)]
     measured, truth, pending = [], [], 0     # rows not solved yet
     for t in range(config.iterations):
         result = run_iteration(world, config, t)
-        count = result.success_count
+        count = int(np.count_nonzero(result.success))
         per_iteration.append(count)
         if count:
             measured.append(result.measured)
@@ -332,7 +329,7 @@ def run_simulation(config: SimConfig) -> TrialReport:
                 raise ValueError("non-finite localization error: "
                                  "c/B range noise overflows")
 
-    errors = np.concatenate(samples) if samples else np.empty(0)
+    errors = np.concatenate(samples)
     successes = int(sum(per_iteration))
     attempts = n * config.iterations
     return TrialReport(

@@ -435,12 +435,16 @@ class TestMain:
         ({"generator_voltage_v": 1e200}, None, "capacitance_f"),
         # The per-cycle decay rate underflows to 0.
         ({"charge_per_cycle_pc": 1e-320}, None, "cycle_exponent"),
+        # A positive decay rate whose curve inverse overflows.
+        ({"charge_per_cycle_pc": 1e-304}, None, "cycle_exponent"),
         # An infinite number of harvesting cycles per period.
         ({"cycle_duration_s": 1e-320}, None, "update_period_s"),
+        # A packet of all ones costs an infinite energy.
+        ({"energy_rx_pulse_pj": 1e308}, None, "energy_rx_pulse_pj"),
         ({}, "nan,0.5", "finite"),
         ({}, "inf,1.0", "finite"),
-    ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "cycle_tiny",
-            "table_nan", "table_inf"])
+    ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
+            "cycle_tiny", "packet_huge", "table_nan", "table_inf"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:

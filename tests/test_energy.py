@@ -323,6 +323,13 @@ class TestParamValidation:
         assert params.effective_turn_on_pj == 800.0
         assert energy_at_cycle(10**6, params) == 800.0
 
+    @pytest.mark.parametrize("charge_pc", [1e-304, 1e-308])
+    def test_rejects_curve_whose_inverse_overflows(self, charge_pc):
+        # cycle_exponent is positive and finite, but the cycle position of
+        # a level just below full storage divides to infinity.
+        with pytest.raises(ValueError, match="cycle_exponent"):
+            default_params(charge_per_cycle_pc=charge_pc)
+
 
 def _curve_oracle(energy_pj, params):
     """Smallest whole k with energy_at_cycle(k) >= energy_pj, found by

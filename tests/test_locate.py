@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nanoloc import locate
-from nanoloc.channel import raw_resolution
+from nanoloc.channel import ChannelParams, raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError,
                             _norm3, localization_error, trilaterate,
                             trilaterate_batch)
@@ -51,6 +51,13 @@ class TestExactRecovery:
         est = trilaterate_batch(CORNERS, exact_distances(CORNERS, point)[None, :],
                                 refine=False)[0]
         assert np.linalg.norm(est - point) < 1e-9
+
+    @pytest.mark.parametrize("fourth", [[L, L, 0.0], [L / 2, L / 2, L / 2]],
+                             ids=["coplanar", "noncoplanar"])
+    def test_no_rows(self, fourth):
+        anchors = AnchorSet(positions=np.array(
+            [[0.0, 0.0, 0.0], [L, 0.0, 0.0], [0.0, L, 0.0], fourth]))
+        assert trilaterate_batch(anchors, np.empty((0, 4))).shape == (0, 3)
 
     def test_noncoplanar_anchors(self):
         anchors = AnchorSet(positions=np.array([
@@ -367,32 +374,53 @@ def _horizontal_crlb(points: np.ndarray, anchor_pos: np.ndarray,
 
 
 class TestCramerRaoBound:
+    # Seed-0 defaults: every successful row of the run, solved in the
+    # simulator's chunks.  The bound comes from the true positions and
+    # anchors alone; the tolerance is four standard errors of the mean
+    # squared error, from the rows' own spread.
+
     def test_defaults_reach_the_horizontal_bound(self):
-        # Seed-0 defaults: every successful row of the run, solved in the
-        # simulator's chunks.  The bound comes from the true positions and
-        # anchors alone; the tolerance is four standard errors of the mean
-        # squared error, from the rows' own spread.
-        config = SimConfig()
-        world = initial_world(config)
-        anchors = world.topology.anchors
-        measured, truth = [], []
-        for t in range(config.iterations):
-            result = run_iteration(world, config, t)
-            if result.success_count:
-                measured.append(result.measured)
-                truth.append(world.topology.node_true_positions[result.success])
-        measured, truth = np.concatenate(measured), np.concatenate(truth)
-        estimates = np.concatenate([
-            trilaterate_batch(anchors, measured[start:start + _LOCATE_CHUNK_ROWS])
-            for start in range(0, len(measured), _LOCATE_CHUNK_ROWS)])
-        squared = np.sum((estimates - truth)[:, :2] ** 2, axis=1)
-        bound = _horizontal_crlb(truth, anchors.positions,
-                                 raw_resolution(config.channel.bandwidth_hz))
-        ratio = squared.mean() / bound.mean()
-        se = squared.std(ddof=1) / math.sqrt(squared.size) / bound.mean()
+        ratio, se, rows = _crlb_ratio(SimConfig())
         assert abs(ratio - 1.0) <= 4.0 * se, (
             f"mean squared xy error / CRLB = {ratio:.5f}, "
-            f"z = {(ratio - 1.0) / se:.2f} over {squared.size} rows")
+            f"z = {(ratio - 1.0) / se:.2f} over {rows} rows")
+
+    def test_rows_above_the_noise_meet_the_bound_at_100_ghz(self):
+        # At 100 GHz sigma = c/B is 3 mm, and folding the estimate into
+        # z >= 0 biases the rows near the anchor plane, where the bound for
+        # unbiased estimates need not hold: over all rows the ratio reads
+        # below 1.  On rows more than sigma above the plane the error must
+        # not beat the bound by more than four standard errors.
+        config = SimConfig(channel=ChannelParams(bandwidth_hz=1e11))
+        ratio, se, rows = _crlb_ratio(config, min_height_m=raw_resolution(1e11))
+        assert ratio >= 1.0 - 4.0 * se, (
+            f"mean squared xy error / CRLB = {ratio:.5f}, "
+            f"z = {(ratio - 1.0) / se:.2f} over {rows} rows")
+
+
+def _crlb_ratio(config: SimConfig, min_height_m: float = -math.inf
+                ) -> tuple[float, float, int]:
+    """Mean squared horizontal error over mean horizontal CRLB of a run's
+    successful rows whose true height above the anchor plane exceeds
+    min_height_m, its standard error and the row count."""
+    world = initial_world(config)
+    anchors = world.topology.anchors
+    measured, truth = [], []
+    for t in range(config.iterations):
+        result = run_iteration(world, config, t)
+        measured.append(result.measured)
+        truth.append(world.topology.node_true_positions[result.success])
+    measured, truth = np.concatenate(measured), np.concatenate(truth)
+    estimates = np.concatenate([
+        trilaterate_batch(anchors, measured[start:start + _LOCATE_CHUNK_ROWS])
+        for start in range(0, len(measured), _LOCATE_CHUNK_ROWS)])
+    high = truth[:, 2] - anchors.z_plane_m > min_height_m
+    estimates, truth = estimates[high], truth[high]
+    squared = np.sum((estimates - truth)[:, :2] ** 2, axis=1)
+    bound = _horizontal_crlb(truth, anchors.positions,
+                             raw_resolution(config.channel.bandwidth_hz))
+    se = squared.std(ddof=1) / math.sqrt(squared.size) / bound.mean()
+    return squared.mean() / bound.mean(), se, squared.size
 
 
 class TestLocalizationError:

@@ -409,6 +409,13 @@ class TestDrawFreeReplay:
         assert np.array_equal(world.energy_pj, fresh.energy_pj)
         assert np.array_equal(world.operational, fresh.operational)
 
+    def test_config_is_frozen(self):
+        # The memo tells configs apart by identity, so a config must not
+        # change after a period was memoized under it.
+        config = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.update_period_s = 1.0
+
     def test_replay_survives_a_drawing_period(self, monkeypatch):
         config = small_config(initial_energy_pj=10.0)
         world = _drained_world(config)
@@ -512,6 +519,10 @@ class TestRunSimulation:
         assert report.availability == report.successes / report.attempts
         assert len(report.per_iteration_successes) == 30
         assert sum(report.per_iteration_successes) == report.successes
+        # Python ints, as the field is typed; numpy scalars would change
+        # the report's repr, which the benchmark's result hash reads.
+        assert all(type(count) is int
+                   for count in report.per_iteration_successes)
         assert report.error_samples_m.size == report.successes
 
     def test_determinism(self):
