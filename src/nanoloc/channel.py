@@ -70,8 +70,15 @@ class ChannelParams:
 
     @cached_property
     def absorption_per_m(self) -> float:
-        """k(f) at this channel's frequency, in 1/m; computed once."""
-        return absorption_coefficient(self.frequency_hz, self.absorption_table)
+        """k(f) at this channel's frequency, in 1/m; computed once.
+
+        Piecewise-linear in frequency over the table, clamped to the
+        nearest endpoint outside its range; a single-entry table acts as
+        a constant.
+        """
+        freqs = [f for f, _ in self.absorption_table]
+        ks = [k for _, k in self.absorption_table]
+        return float(np.interp(self.frequency_hz, freqs, ks))
 
 
 @dataclass(frozen=True)
@@ -83,19 +90,6 @@ class LinkBudgetResult:
     spreading_loss_db: np.ndarray
     absorption_loss_db: np.ndarray
     received: np.ndarray
-
-
-def absorption_coefficient(frequency_hz: float,
-                           table: AbsorptionTable) -> float:
-    """Absorption coefficient k(f) in 1/m, piecewise-linear in frequency.
-
-    Clamped to the nearest endpoint outside the table's range; a
-    single-entry table acts as a constant.
-    """
-    _validate_table(tuple(table))
-    freqs = [f for f, _ in table]
-    ks = [k for _, k in table]
-    return float(np.interp(frequency_hz, freqs, ks))
 
 
 def received_power(params: ChannelParams,

@@ -284,13 +284,6 @@ def run_sweep(config: SimConfig, sweep: SweepSpec) -> list[ResultRow]:
     return rows
 
 
-def _format_cell(value: Any) -> str:
-    # repr keeps the shortest lossless float representation.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def format_summary(rows: Sequence[ResultRow]) -> str:
     """Human-readable fixed-width table of the result rows."""
     header = ("parameter", "value", "seed", "mean_err_mm", "p90_err_mm",
@@ -321,11 +314,10 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
     path = Path(path)
     if fmt == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
+            # csv writes a float as its repr, the shortest lossless form.
             writer = csv.writer(fh)
             writer.writerow(RESULT_FIELDS)
-            for row in rows:
-                writer.writerow([_format_cell(getattr(row, name))
-                                 for name in RESULT_FIELDS])
+            writer.writerows(dataclasses.astuple(row) for row in rows)
     elif fmt == "json":
         with path.open("w", encoding="utf-8") as fh:
             json.dump([dataclasses.asdict(row) for row in rows], fh, indent=2)

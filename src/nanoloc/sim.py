@@ -94,6 +94,14 @@ class SimConfig:
             raise ValueError("grid_rows and grid_cols must be >= 2")
         if not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
             raise ValueError("spacing_m must be strictly positive")
+        # The largest squared sum trilateration forms: a noiseless squared
+        # range (at most 2.25 d**2) plus a squared anchor norm (at most
+        # 2 d**2).  No margin for range noise: noise that overflows is
+        # caught by run_simulation's non-finite error check.
+        d = self.edge_length_m
+        if not math.isfinite(4.25 * d * d):
+            raise ValueError("spacing_m is too large: squared distances "
+                             "across the grid overflow")
         if not (math.isfinite(self.update_period_s) and self.update_period_s > 0):
             raise ValueError("update_period_s must be strictly positive")
         if not math.isfinite(self.update_period_s

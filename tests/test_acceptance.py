@@ -2,8 +2,7 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them) and then asserts.  Full-scale runs (621 static nodes x 1000
-iterations) are cached per (parameter overrides, seed) and shared
-between criteria.
+iterations) are cached per config and shared between criteria.
 """
 
 import numpy as np
@@ -24,17 +23,14 @@ def run_cache():
 
 
 def full_run(cache, seed, **overrides):
-    # Values that leave the shipped defaults unchanged are dropped from the
-    # cache key so equivalent runs are shared between criteria.
-    key = tuple(sorted(
-        (k, v) for k, v in overrides.items()
-        if apply_swept_parameter(SimConfig(), k, v) != SimConfig())) + (seed,)
-    if key not in cache:
-        config = SimConfig(rng_seed=seed)
-        for name, value in overrides.items():
-            config = apply_swept_parameter(config, name, value)
-        cache[key] = run_simulation(config)
-    return cache[key]
+    # Keyed on the frozen config, which compares by value, so overrides
+    # that leave the shipped defaults unchanged share their run.
+    config = SimConfig(rng_seed=seed)
+    for name, value in overrides.items():
+        config = apply_swept_parameter(config, name, value)
+    if config not in cache:
+        cache[config] = run_simulation(config)
+    return cache[config]
 
 
 def averaged(cache, seeds, metric, **overrides):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nanoloc.channel import (SPEED_OF_LIGHT_M_S, ChannelParams,
-                             absorption_coefficient,
                              load_absorption_table, raw_resolution,
                              received_power)
 
@@ -23,27 +22,33 @@ def params(**overrides):
 
 
 class TestAbsorptionCoefficient:
+    # k(f) is ChannelParams.absorption_per_m, over the channel's own table.
+    @staticmethod
+    def k(frequency_hz, table):
+        return ChannelParams(frequency_hz=frequency_hz,
+                             absorption_table=table).absorption_per_m
+
     def test_single_entry_acts_as_constant(self):
         table = ((1e12, 0.1),)
-        assert absorption_coefficient(2e12, table) == 0.1
-        assert absorption_coefficient(1e9, table) == 0.1
+        assert self.k(2e12, table) == 0.1
+        assert self.k(1e9, table) == 0.1
 
     def test_midpoint_interpolation(self):
         table = ((1e12, 0.0), (2e12, 0.2))
-        assert absorption_coefficient(1.5e12, table) == pytest.approx(0.1, rel=1e-12)
+        assert self.k(1.5e12, table) == pytest.approx(0.1, rel=1e-12)
 
     def test_clamped_outside_range(self):
         table = ((1e12, 0.0), (2e12, 0.2))
-        assert absorption_coefficient(0.5e12, table) == 0.0
-        assert absorption_coefficient(9e12, table) == 0.2
+        assert self.k(0.5e12, table) == 0.0
+        assert self.k(9e12, table) == 0.2
 
     def test_lossless_default(self):
         table = ChannelParams().absorption_table
-        assert absorption_coefficient(5e12, table) == 0.0
+        assert self.k(5e12, table) == 0.0
 
     def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            absorption_coefficient(1e12, ())
+        with pytest.raises(ValueError, match="must not be empty"):
+            self.k(1e12, ())
 
 
 class TestReceivedPower:

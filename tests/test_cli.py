@@ -182,6 +182,14 @@ class TestApplySweptParameter:
         swept = apply_swept_parameter(SimConfig(), name, value)
         assert swept == config_from_mapping({key: value})
         assert swept != SimConfig()
+        # The default value gives the default config, equal and of equal
+        # hash whether or not k(f) was read: the acceptance run cache keys
+        # on configs.
+        default = apply_swept_parameter(SimConfig(), name,
+                                        CONFIG_DEFAULTS[key])
+        assert default == SimConfig() and hash(default) == hash(SimConfig())
+        assert default.channel.absorption_per_m == 0.0
+        assert default == SimConfig() and hash(default) == hash(SimConfig())
 
     def test_original_config_untouched(self):
         config = SimConfig()
@@ -308,6 +316,19 @@ class TestEmitResults:
         assert len(text.splitlines()) == 1 + len(rows)
         assert parse_result_csv(out) == rows
         assert "bandwidth_hz" in capsys.readouterr().out
+
+    def test_csv_cells(self, tmp_path, capsys):
+        # Floats as their repr (shortest lossless form), NaN as "nan".
+        row = ResultRow("bandwidth_hz", 0.30000000000000004, 1, math.nan,
+                        math.nan, 1 / 3, 3, 1)
+        out = tmp_path / "results.csv"
+        emit_results([row], out, "csv")
+        assert out.read_bytes() == (
+            b"parameter_name,parameter_value,seed,mean_error_m,p90_error_m,"
+            b"availability,attempts,successes\r\n"
+            b"bandwidth_hz,0.30000000000000004,1,nan,nan,"
+            b"0.3333333333333333,3,1\r\n")
+        capsys.readouterr()
 
     def test_json_round_trip(self, tmp_path, capsys):
         rows = self.rows()
@@ -441,10 +462,13 @@ class TestMain:
         ({"cycle_duration_s": 1e-320}, None, "update_period_s"),
         # A packet of all ones costs an infinite energy.
         ({"energy_rx_pulse_pj": 1e308}, None, "energy_rx_pulse_pj"),
+        # Squared distances across the grid overflow.
+        ({"spacing_m": 1e154}, None, "spacing_m"),
         ({}, "nan,0.5", "finite"),
         ({}, "inf,1.0", "finite"),
     ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
-            "cycle_tiny", "packet_huge", "table_nan", "table_inf"])
+            "cycle_tiny", "packet_huge", "spacing_huge", "table_nan",
+            "table_inf"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:

@@ -7,13 +7,14 @@ ranging round (the engine's round lives in ranging.measure_batch).
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from nanoloc import sim
-from nanoloc.channel import raw_resolution, received_power
+from nanoloc.channel import ChannelParams, raw_resolution, received_power
 from nanoloc.energy import harvest_batch
 from nanoloc.locate import norm, trilaterate, trilaterate_batch
 from nanoloc.sim import (_DRAW_FREE_CAP, _LOCATE_CHUNK_ROWS,
@@ -540,6 +541,20 @@ class TestRunSimulation:
         a = run_simulation(small_config(rng_seed=1))
         b = run_simulation(small_config(rng_seed=2))
         assert a.mean_error_m != b.mean_error_m
+
+    def test_spacing_bound(self):
+        # The bound: 4.25 d**2 finite, d the 3x3 grid's edge, 2 spacings.
+        bound = math.sqrt(sys.float_info.max / 4.25) / 2.0
+        # Every link feasible, so trilateration runs at the largest spacing
+        # allowed, and the suite turns any RuntimeWarning into an error.
+        config = SimConfig(grid_rows=3, grid_cols=3, iterations=20,
+                           spacing_m=bound * (1 - 1e-9),
+                           channel=ChannelParams(receiver_sensitivity_dbm=-1e9))
+        report = run_simulation(config)
+        assert report.successes == report.attempts == 5 * 20
+        assert math.isfinite(report.mean_error_m)
+        with pytest.raises(ValueError, match="spacing_m"):
+            dataclasses.replace(config, spacing_m=bound * (1 + 1e-9))
 
     def test_empty_grid(self):
         report = run_simulation(SimConfig(grid_rows=2, grid_cols=2,
