@@ -131,22 +131,25 @@ def load_absorption_table(path: str | Path) -> AbsorptionTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: absorption table is empty") from None
-        if [col.strip() for col in header] != ["frequency_hz", "k_per_m"]:
-            raise ValueError(
-                f"{path}: expected header 'frequency_hz,k_per_m', got {header!r}")
-        rows: list[tuple[float, float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value {row!r}") from None
+            records = list(reader)
+        except csv.Error as exc:        # e.g. a field over csv's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not records:
+        raise ValueError(f"{path}: absorption table is empty")
+    header = records[0]
+    if [col.strip() for col in header] != ["frequency_hz", "k_per_m"]:
+        raise ValueError(
+            f"{path}: expected header 'frequency_hz,k_per_m', got {header!r}")
+    rows: list[tuple[float, float]] = []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        try:
+            rows.append((float(row[0]), float(row[1])))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value {row!r}") from None
     table = tuple(rows)
     try:
         _validate_table(table)

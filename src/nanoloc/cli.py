@@ -76,11 +76,24 @@ def _coerce(key: str, value: Any) -> Any:
         return None
     if not _is_number(value):
         raise ConfigurationError(f"config key '{key}' must be a number")
+    if key == "rng_seed" and isinstance(value, int):
+        return value                    # any size, as --seed takes
+    number = _to_float(value, f"config key '{key}'")
     if key in _INT_KEYS:
-        if not math.isfinite(value) or int(value) != value:
+        if not number.is_integer():
             raise ConfigurationError(f"config key '{key}' must be an integer")
         return int(value)
-    return float(value)
+    return number
+
+
+def _to_float(value: int | float, what: str) -> float:
+    """A JSON number as a float; an integer too large for one is an error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{what} must be at most {sys.float_info.max:.4g} in magnitude"
+        ) from None
 
 
 def _replace(config: SimConfig, values: Mapping[str, Any]) -> SimConfig:
@@ -134,7 +147,7 @@ def _read_object(path: Path, what: str) -> dict[str, Any]:
         raise ConfigurationError(f"cannot read {what} file: {exc}") from exc
     try:
         data = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: {what} must be a JSON object")
@@ -188,7 +201,8 @@ def load_sweep(path: str | Path) -> SweepSpec:
     if not all(_is_number(v) for v in values):
         raise ConfigurationError(f"{path}: sweep values must be numbers")
     return SweepSpec(parameter_name=str(data["parameter"]),
-                     values=tuple(float(v) for v in values),
+                     values=tuple(_to_float(v, f"{path}: sweep value")
+                                  for v in values),
                      seeds=tuple(seeds))
 
 

@@ -1,12 +1,12 @@
 """Trilateration: range estimates to four known anchors -> 3D position.
 
-Subtracting the first anchor's sphere equation from the others yields a
-linear system in the unknown position, solved by least squares.  With all
-anchors in one z-plane the system only determines (x, y); z is recovered
-from the mean squared range residual, taking the root on the modeled side
-of the anchor plane (nodes live above it).  The linear estimate is then
-refined by damped Gauss-Newton iterations on the full nonlinear range
-residuals.
+The anchors share one horizontal plane, as the controllers at the corners
+of the metamaterial do.  Subtracting the first anchor's sphere equation
+from the others yields a linear system in the unknown (x, y), solved by
+least squares; z is recovered from the mean squared range residual, taking
+the root on the modeled side of the anchor plane (nodes live above it).
+The linear estimate is then refined by damped Gauss-Newton iterations on
+the full nonlinear range residuals.
 
 The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
 length in the package is _norm3's (dx*dx + dy*dy) + dz*dz (norm() is its
@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Anchors whose z coordinates differ by less than this (relative to the
-# anchor span) are treated as coplanar in z.
+# Anchors whose z coordinates differ by at most this (relative to the
+# anchor span) share one z-plane.
 _COPLANAR_REL_TOL = 1e-9
 
 _GN_MAX_ITERATIONS = 20
@@ -43,7 +43,8 @@ class DegenerateGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Four anchors at known positions (meters, 3D)."""
+    """Four anchors at known positions (meters, 3D) in one horizontal
+    plane, whose (x, y) fix a horizontal position."""
 
     positions: np.ndarray
 
@@ -58,15 +59,14 @@ class AnchorSet:
             for j in range(i + 1, 4):
                 if np.array_equal(pos[i], pos[j]):
                     raise ValueError(f"anchors {i} and {j} coincide")
-        # The reduced system must fix (x, y) when the anchors share a
-        # z-plane (the ranges then give the height), and x, y, z otherwise.
-        # This also rejects collinear anchors.
-        lhs = self.reduced_lhs[:, :2] if self.coplanar_z else self.reduced_lhs
-        if (np.linalg.matrix_rank(lhs, tol=1e-12 * max(1.0, self.span_m))
-                < lhs.shape[1]):
-            plane = "horizontal" if self.coplanar_z else "3D"
+        # The ranges give the height above one z-plane, and the reduced
+        # system must fix (x, y); the latter rejects collinear anchors.
+        scale = max(1.0, self.span_m)
+        if float(np.ptp(pos[:, 2])) > _COPLANAR_REL_TOL * scale:
+            raise DegenerateGeometryError("anchors must share one z-plane")
+        if np.linalg.matrix_rank(self.reduced_lhs, tol=1e-12 * scale) < 2:
             raise DegenerateGeometryError(
-                f"anchor geometry does not determine a {plane} position")
+                "anchor geometry does not determine a horizontal position")
 
     @cached_property
     def span_m(self) -> float:
@@ -75,16 +75,11 @@ class AnchorSet:
         return float(norm(pos[:, None, :] - pos[None, :, :]).max())
 
     @cached_property
-    def coplanar_z(self) -> bool:
-        """True when all anchors share one z-plane."""
-        z = self.positions[:, 2]
-        return float(np.ptp(z)) <= _COPLANAR_REL_TOL * max(1.0, self.span_m)
-
-    @cached_property
     def reduced_lhs(self) -> np.ndarray:
-        """(3, 3) matrix of the linear system left after subtracting the
-        first anchor's sphere equation from the others."""
-        return 2.0 * (self.positions[1:] - self.positions[0])
+        """(3, 2) matrix of the linear system in (x, y) left after
+        subtracting the first anchor's sphere equation from the others."""
+        pos = self.positions[:, :2]
+        return 2.0 * (pos[1:] - pos[0])
 
     @property
     def z_plane_m(self) -> float:
@@ -132,31 +127,26 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     estimate = _linear_estimate(anchors, d)
     if refine:
         estimate = _gauss_newton_batch(anchors.positions, d, estimate)
-    if anchors.coplanar_z:
-        # The mirror image below the anchor plane has identical residuals;
-        # keep the modeled half-space.
-        z0 = anchors.z_plane_m
-        estimate[:, 2] = z0 + np.abs(estimate[:, 2] - z0)
+    # The mirror image below the anchor plane has identical residuals;
+    # keep the modeled half-space.
+    z0 = anchors.z_plane_m
+    estimate[:, 2] = z0 + np.abs(estimate[:, 2] - z0)
     return estimate
 
 
 def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
     """(m, 3) linear estimate; its temporaries die before the refinement."""
     pos = anchors.positions
-    lhs = anchors.reduced_lhs                            # (3, 3)
     rhs = (d[:, 0:1] ** 2 - d[:, 1:] ** 2
            + np.sum(pos[1:] ** 2, axis=1)[None, :]
            - float(np.sum(pos[0] ** 2)))                 # (m, 3)
-
-    if anchors.coplanar_z:
-        xy = np.linalg.lstsq(lhs[:, :2], rhs.T, rcond=None)[0].T  # (m, 2)
-        # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
-        # height above the anchor plane; noise can push it negative, in
-        # which case the node is projected onto the plane.
-        dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
-        z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
-        return np.column_stack([xy, anchors.z_plane_m + z_off])
-    return np.linalg.lstsq(lhs, rhs.T, rcond=None)[0].T
+    xy = np.linalg.lstsq(anchors.reduced_lhs, rhs.T, rcond=None)[0].T  # (m, 2)
+    # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
+    # height above the anchor plane; noise can push it negative, in
+    # which case the node is projected onto the plane.
+    dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
+    z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
+    return np.column_stack([xy, anchors.z_plane_m + z_off])
 
 
 def norm(v: np.ndarray) -> np.ndarray:

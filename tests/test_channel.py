@@ -1,5 +1,6 @@
 """Channel module: link budget, absorption lookup, raw resolution."""
 
+import csv
 import math
 
 import numpy as np
@@ -238,4 +239,13 @@ class TestLoadAbsorptionTable:
         path.write_text(f"frequency_hz,k_per_m\n1e12,0.0\n{row}\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="finite"):
+            load_absorption_table(path)
+
+    def test_oversized_field(self, tmp_path):
+        # One character over the csv module's field size limit.
+        path = tmp_path / "k.csv"
+        path.write_text("frequency_hz,k_per_m\n1e12,0.0\n2e12,"
+                        + "0" * (csv.field_size_limit() + 1) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"k\.csv:3: field larger than"):
             load_absorption_table(path)

@@ -23,6 +23,12 @@ from nanoloc.sim import SimConfig, run_simulation
 from oracles import parse_result_csv
 
 
+# Every key a config reads as a number (initial_energy_pj defaults to None).
+NUMERIC_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
+                      if type(value) in (int, float)
+                      or key == "initial_energy_pj")
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
@@ -466,9 +472,11 @@ class TestMain:
         ({"spacing_m": 1e154}, None, "spacing_m"),
         ({}, "nan,0.5", "finite"),
         ({}, "inf,1.0", "finite"),
+        # A field over the csv module's size limit of 131072 characters.
+        ({}, "2e12," + "0" * 131073, "k.csv:3: field larger than"),
     ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
             "cycle_tiny", "packet_huge", "spacing_huge", "table_nan",
-            "table_inf"])
+            "table_inf", "table_field_huge"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:
@@ -483,6 +491,47 @@ class TestMain:
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, key):
+        # A 401-digit JSON integer.  Only rng_seed takes it, as --seed
+        # does; iterations must not start a loop that long.
+        config = self.config_path(tmp_path, **{key: 10 ** 400})
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if key == "rng_seed":
+            assert code == 0
+            assert captured.err == ""
+        else:
+            assert code == 1
+            assert captured.err.startswith(f"error: config key '{key}' ")
+            assert captured.out == ""
+
+    def test_sweep_value_too_large_for_a_float(self, tmp_path, capsys):
+        sweep = write_json(tmp_path / "sweep.json", {
+            "parameter": "spacing_m", "values": [10 ** 400]})
+        code = main(["sweep", "--config", str(self.config_path(tmp_path)),
+                     "--sweep", str(sweep)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {sweep}: sweep value ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["config", "sweep"])
+    def test_deeply_nested_json_is_an_error(self, tmp_path, capsys, kind):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        files = {"config": self.config_path(tmp_path),
+                 "sweep": write_json(tmp_path / "sweep.json", {
+                     "parameter": "bandwidth_hz", "values": [1e12]})}
+        files[kind] = deep
+        code = main(["sweep", "--config", str(files["config"]),
+                     "--sweep", str(files["sweep"])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {deep}: invalid JSON: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])

@@ -52,25 +52,27 @@ class TestExactRecovery:
                                 refine=False)[0]
         assert np.linalg.norm(est - point) < 1e-9
 
-    @pytest.mark.parametrize("fourth", [[L, L, 0.0], [L / 2, L / 2, L / 2]],
-                             ids=["coplanar", "noncoplanar"])
-    def test_no_rows(self, fourth):
-        anchors = AnchorSet(positions=np.array(
-            [[0.0, 0.0, 0.0], [L, 0.0, 0.0], [0.0, L, 0.0], fourth]))
+    @pytest.mark.parametrize("z_plane", [0.0, 5e-3], ids=["coplanar", "lifted"])
+    def test_no_rows(self, z_plane):
+        anchors = AnchorSet(positions=CORNERS.positions + [0.0, 0.0, z_plane])
         assert trilaterate_batch(anchors, np.empty((0, 4))).shape == (0, 3)
 
-    def test_noncoplanar_anchors(self):
-        anchors = AnchorSet(positions=np.array([
-            [0.0, 0.0, 0.0],
-            [L, 0.0, 0.0],
-            [0.0, L, 0.0],
-            [L / 2, L / 2, L / 2],
-        ]))
+    def test_lifted_plane(self):
+        lifted = AnchorSet(positions=CORNERS.positions + [0.0, 0.0, 5e-3])
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            point = rng.uniform([0, 0, -L], [L, L, L])
-            est = trilaterate(anchors, exact_distances(anchors, point))
+        for _ in range(200):
+            point = rng.uniform([0, 0, 5e-3], [L, L, 5e-3 + L / 2])
+            est = trilaterate(lifted, exact_distances(lifted, point))
             assert np.linalg.norm(est - point) < 1e-9
+
+    def test_noncoplanar_anchors_rejected(self):
+        with pytest.raises(DegenerateGeometryError, match="z-plane"):
+            AnchorSet(positions=np.array([
+                [0.0, 0.0, 0.0],
+                [L, 0.0, 0.0],
+                [0.0, L, 0.0],
+                [L / 2, L / 2, L / 2],
+            ]))
 
 
 class TestEquivariance:
@@ -113,8 +115,8 @@ class TestDegenerateGeometry:
             ]))
 
     def test_tilted_coplanar_anchors_rejected(self):
-        # Coplanar in a non-horizontal plane: the linearized system is
-        # rank-deficient and no half-space convention applies.
+        # Coplanar in a non-horizontal plane: the anchors do not share
+        # one z-plane, so the ranges give no height above it.
         with pytest.raises(DegenerateGeometryError):
             AnchorSet(positions=np.array([
                 [0.0, 0.0, 0.0],
