@@ -130,15 +130,17 @@ def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
     return int(_cycle_positions(np.float64(energy_pj), params))
 
 
-def energy_at_cycle(n_cycle: int, params: HarvesterParams) -> float:
-    """Stored energy (pJ) after n whole harvesting cycles from empty.
+def energy_at_cycle(n_cycle: int | np.ndarray,
+                    params: HarvesterParams) -> float | np.ndarray:
+    """Stored energy (pJ) after n whole harvesting cycles from empty, for
+    one cycle count or an array of them: the curve harvest_batch charges.
 
     Strictly increasing in n and bounded above by max_storage_pj, which it
     approaches asymptotically.
     """
-    if n_cycle < 0:
+    if np.any(n_cycle < 0):
         raise ValueError("n_cycle must be >= 0")
-    charged = 1.0 - math.exp(-params.cycle_exponent * n_cycle)
+    charged = 1.0 - np.exp(-params.cycle_exponent * n_cycle)
     return params.max_storage_pj * charged * charged
 
 
@@ -182,7 +184,5 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     # A full node stays full.  Its curve runs from empty instead, away from
     # the log's pole at max_storage_pj, and the result is discarded.
     n = _cycle_positions(np.where(charging, energy_pj, 0.0), params) + cycles
-    charged = 1.0 - np.exp(-params.cycle_exponent * n)
-    np.copyto(energy_pj, params.max_storage_pj * charged * charged,
-              where=charging)
+    np.copyto(energy_pj, energy_at_cycle(n, params), where=charging)
     operational |= energy_pj >= params.effective_turn_on_pj

@@ -39,6 +39,12 @@ CODE_NODE_DEPLETED = 1
 CODE_LINK_INFEASIBLE = 2
 
 
+# Packet bits one draw holds at most: run_iteration draws a period's packets
+# in row blocks under this budget (8 MiB of int64), and RadioParams rejects a
+# longer packet, so packet_bits cannot size an allocation.
+PACKET_BIT_BUDGET = 1 << 20
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Per-pulse energy costs and the operational-phase packet length."""
@@ -54,8 +60,9 @@ class RadioParams:
         if not (math.isfinite(self.energy_tx_pulse_pj)
                 and self.energy_tx_pulse_pj > 0):
             raise ValueError("energy_tx_pulse_pj must be strictly positive")
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be >= 1")
+        if not 1 <= self.packet_bits <= PACKET_BIT_BUDGET:
+            raise ValueError(
+                f"packet_bits must lie in [1, {PACKET_BIT_BUDGET}]")
         # A packet of all ones costs packet_bits receptions.
         if not math.isfinite(self.packet_bits * self.energy_rx_pulse_pj):
             raise ValueError("energy_rx_pulse_pj must give a finite cost "

@@ -43,8 +43,8 @@ from nanoloc.energy import (HarvesterParams, harvest_batch, may_pay,
 from nanoloc.locate import AnchorSet, norm, trilaterate_batch
 # The CODE_* values of IterationResult.failure_code are re-exported here.
 from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
-                             SUCCESS, RadioParams, measure_batch,
-                             range_estimates)
+                             PACKET_BIT_BUDGET, SUCCESS, RadioParams,
+                             measure_batch, range_estimates)
 
 # Substream tags under the master seed.
 _TOPOLOGY_STREAM = 0
@@ -58,6 +58,11 @@ _LOCATE_CHUNK_ROWS = 2048
 # 2 pC); a longer draw-free stretch that never recurs fills and clears the
 # memo without replaying.
 _DRAW_FREE_CAP = 32
+
+# Localization attempts (nodes x iterations) one run may make; the error
+# samples and the per-iteration series grow with them.  The longest shipped
+# run makes 2.48 million.
+_MAX_ATTEMPTS = 10 ** 8
 
 Seed = int | tuple[int, ...]
 
@@ -102,6 +107,16 @@ class SimConfig:
         if not math.isfinite(4.25 * d * d):
             raise ValueError("spacing_m is too large: squared distances "
                              "across the grid overflow")
+        # A placement's shortest nonzero distance exceeds d * 2**-55: its
+        # smallest offset from a controller is rng.uniform's height step
+        # (d / 2) * 2**-53, and squaring and rooting it lose less than a
+        # factor 2.  The spreading argument 4*pi*f*d/c must not underflow
+        # to 0 there, or its log10 divides by zero.
+        with np.errstate(divide="ignore"):
+            shortest = received_power(self.channel, d * 2.0 ** -55)
+        if shortest.spreading_loss_db == -math.inf:
+            raise ValueError("frequency_hz is too small: 4*pi*f*d/c "
+                             "underflows to 0 at the shortest link")
         if not (math.isfinite(self.update_period_s) and self.update_period_s > 0):
             raise ValueError("update_period_s must be strictly positive")
         if not math.isfinite(self.update_period_s
@@ -110,6 +125,10 @@ class SimConfig:
                              "cycle_duration_s harvesting cycles")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if ((self.grid_rows * self.grid_cols - 4) * self.iterations
+                > _MAX_ATTEMPTS):
+            raise ValueError(f"grid_rows x grid_cols - 4 nodes times "
+                             f"iterations must be at most {_MAX_ATTEMPTS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         seed = self.rng_seed if isinstance(self.rng_seed, tuple) else (self.rng_seed,)
@@ -256,10 +275,14 @@ def run_iteration(state: WorldState, config: SimConfig,
                                    config.channel)
     if payable:
         # Operational phase: reception of one control packet from the
-        # nearest controller; silence for '0' bits costs nothing.
-        bits = rng.integers(0, 2, size=(n, radio.packet_bits))
-        spend_batch(energy, operational,
-                    bits.sum(axis=1) * radio.energy_rx_pulse_pj,
+        # nearest controller; silence for '0' bits costs nothing.  Row
+        # blocks of at most PACKET_BIT_BUDGET bits keep the stream of one
+        # (n, packet_bits) draw.
+        rows = PACKET_BIT_BUDGET // radio.packet_bits
+        ones = np.concatenate([
+            rng.integers(0, 2, size=(min(rows, n - start), radio.packet_bits))
+            .sum(axis=1) for start in range(0, n, rows)])
+        spend_batch(energy, operational, ones * radio.energy_rx_pulse_pj,
                     topo.packet_link, harvester)
 
     # Harvesting phase.
@@ -331,8 +354,10 @@ def run_simulation(config: SimConfig) -> TrialReport:
             rows, points = np.concatenate(measured), np.concatenate(truth)
             measured, truth = [rows[size:]], [points[size:]]
             pending -= size
-            estimates = trilaterate_batch(anchors, rows[:size])
-            samples.append(norm(estimates - points[:size]))
+            # Range noise that overflows the solve is caught just below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                estimates = trilaterate_batch(anchors, rows[:size])
+                samples.append(norm(estimates - points[:size]))
             if not np.all(np.isfinite(samples[-1])):
                 raise ValueError("non-finite localization error: "
                                  "c/B range noise overflows")

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from nanoloc.cli import (CONFIG_DEFAULTS, RESULT_FIELDS, SWEEPABLE_PARAMETERS,
                          config_from_mapping, emit_results, format_summary,
                          load_config, load_sweep, main, run_sweep,
                          sweep_point_seed)
+from nanoloc.ranging import PACKET_BIT_BUDGET
 from nanoloc.sim import SimConfig, run_simulation
 from oracles import parse_result_csv
 
@@ -27,6 +29,12 @@ from oracles import parse_result_csv
 NUMERIC_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
                       if type(value) in (int, float)
                       or key == "initial_energy_pj")
+FLOAT_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
+                    if type(value) is float or key == "initial_energy_pj")
+# The extremes of floating point: near the largest and smallest normal
+# magnitudes, the smallest subnormal, and decades between.
+EXTREMES = (1e308, -1e308, 1e300, 1e200, 1e100, 1e30, 1e12, 1e-12, 1e-30,
+            1e-100, 1e-200, 1e-300, 1e-308, -1e-308, 5e-324)
 
 
 def write_json(path, payload):
@@ -468,6 +476,12 @@ class TestMain:
         ({"cycle_duration_s": 1e-320}, None, "update_period_s"),
         # A packet of all ones costs an infinite energy.
         ({"energy_rx_pulse_pj": 1e308}, None, "energy_rx_pulse_pj"),
+        # A packet longer than one draw's bit budget.
+        ({"packet_bits": PACKET_BIT_BUDGET + 1}, None, "packet_bits"),
+        # A run too long to finish or to hold its per-iteration series.
+        ({"iterations": 1e18}, None, "iterations"),
+        # The spreading argument 4*pi*f*d/c underflows to 0.
+        ({"frequency_hz": 5e-324}, None, "frequency_hz"),
         # Squared distances across the grid overflow.
         ({"spacing_m": 1e154}, None, "spacing_m"),
         ({}, "nan,0.5", "finite"),
@@ -475,8 +489,9 @@ class TestMain:
         # A field over the csv module's size limit of 131072 characters.
         ({}, "2e12," + "0" * 131073, "k.csv:3: field larger than"),
     ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
-            "cycle_tiny", "packet_huge", "spacing_huge", "table_nan",
-            "table_inf", "table_field_huge"])
+            "cycle_tiny", "packet_huge", "packet_long", "iterations_huge",
+            "frequency_tiny", "spacing_huge", "table_nan", "table_inf",
+            "table_field_huge"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:
@@ -492,6 +507,24 @@ class TestMain:
         assert named in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", EXTREMES)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_extreme_value_runs_or_is_one_error(self, tmp_path, capsys, key,
+                                                value):
+        # Under error::RuntimeWarning a numpy overflow, underflow to a
+        # divisor or invalid value would escape main as a traceback.
+        config = write_json(tmp_path / "config.json", {
+            "grid_rows": 3, "grid_cols": 3, "iterations": 3, key: value})
+        code = main(["run", "--config", str(config)])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+        else:
+            assert code == 1
+            assert re.fullmatch(r"error: [^\n]+\n", captured.err)
+            assert captured.out == ""
 
     @pytest.mark.parametrize("key", NUMERIC_KEYS)
     def test_integer_too_large_for_a_float(self, tmp_path, capsys, key):

@@ -81,8 +81,7 @@ class TestEnergyAtCycle:
         # Frozen from an independent evaluation of the charging curve with
         # per-cycle exponent 6e-12 / (0.42 * 9.0703e-9) ~= 1.575e-3.
         assert PARAMS.cycle_exponent == pytest.approx(1.575e-3, rel=1e-12)
-        assert energy_at_cycle(1, PARAMS) == pytest.approx(1.98137728219616e-3,
-                                                           rel=1e-12)
+        assert energy_at_cycle(1, PARAMS) == 1.98137728219616e-3
 
     def test_asymptote_is_storage_capacity(self):
         assert abs(energy_at_cycle(10_000_000, PARAMS) - 800.0) < 1e-6 * 800.0
@@ -99,6 +98,26 @@ class TestEnergyAtCycle:
         with pytest.raises(ValueError):
             energy_at_cycle(-1, PARAMS)
 
+    def test_negative_in_array_raises(self):
+        with pytest.raises(ValueError, match="n_cycle must be >= 0"):
+            energy_at_cycle(np.array([3, -1, 7]), PARAMS)
+
+    def test_array_matches_scalar(self):
+        ks = np.arange(0, 200_001, 97)
+        values = energy_at_cycle(ks, PARAMS)
+        assert values.shape == ks.shape
+        assert values.tolist() == [energy_at_cycle(int(k), PARAMS) for k in ks]
+
+    def test_is_what_harvesting_stores(self):
+        # k whole cycles from empty store exactly energy_at_cycle(k).  At
+        # the first seven counts the curve evaluated with math.exp differs
+        # from np.exp's in the last bit.
+        for k in [5, 58, 70, 73, 74, 89, 101, *range(0, 200_001, 97)]:
+            energy = np.zeros(1)
+            harvest_batch(energy, np.zeros(1, dtype=bool),
+                          k * PARAMS.cycle_duration_s, PARAMS)
+            assert np.array_equal(energy, [energy_at_cycle(k, PARAMS)]), k
+
 
 class TestHarvest:
     def test_zero_elapsed_is_identity(self):
@@ -114,7 +133,7 @@ class TestHarvest:
 
     def test_five_cycles_from_empty(self):
         out = harvest(EnergyState(0.0, False), 0.1, PARAMS)
-        assert out.energy_pj == pytest.approx(energy_at_cycle(5, PARAMS), rel=1e-12)
+        assert out.energy_pj == energy_at_cycle(5, PARAMS)
         assert out.energy_pj == pytest.approx(0.0492235902924877, rel=1e-12)
 
     def test_whole_cycle_division_is_robust(self):
@@ -403,6 +422,6 @@ class TestHarvestBatch:
         expected = [energy_at_cycle(_curve_oracle(e, PARAMS) + 5, PARAMS)
                     for e in (9.9, 700.0)]
         assert harvest_batch(energies, flags, 0.1, PARAMS) is None
-        assert energies.tolist() == pytest.approx(expected, abs=1e-9)
+        assert energies.tolist() == expected
         assert energies[0] >= 10.0 and energies[1] > 700.0
         assert flags.tolist() == [True, True]

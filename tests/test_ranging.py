@@ -8,8 +8,9 @@ import pytest
 from nanoloc import ranging
 from nanoloc.channel import ChannelParams, raw_resolution, received_power
 from nanoloc.energy import HarvesterParams, spend_batch
-from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
-                             RadioParams, measure_batch, range_estimates)
+from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
+                             PACKET_BIT_BUDGET, SUCCESS, RadioParams,
+                             measure_batch, range_estimates)
 from oracles import EnergyState
 
 
@@ -37,6 +38,16 @@ def node_round(distances, state, chan=None, params=None):
     code = measure_batch(feasible, energy, operational, RADIO,
                          params or harvester())
     return int(code[0]), EnergyState(float(energy[0]), bool(operational[0]))
+
+
+class TestRadioParams:
+    def test_packet_bits_within_the_draw_budget(self):
+        # Checked when built: no packet is drawn, so nothing is allocated.
+        assert RadioParams(packet_bits=PACKET_BIT_BUDGET).packet_bits == \
+            PACKET_BIT_BUDGET
+        for bits in (0, PACKET_BIT_BUDGET + 1, 10 ** 18):
+            with pytest.raises(ValueError, match="packet_bits must lie in"):
+                RadioParams(packet_bits=bits)
 
 
 class TestExchange:

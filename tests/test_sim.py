@@ -511,7 +511,36 @@ class TestDeferredLocalization:
         assert calls == [_LOCATE_CHUNK_ROWS] * full + ([last] if last else [])
 
 
+class TestPacketBitBlocks:
+    @pytest.mark.parametrize("budget", [8, 40, 88])
+    def test_blocks_keep_the_stream(self, monkeypatch, budget):
+        # 12 nodes of 8-bit packets drawn one row, five rows or eleven rows
+        # per block (the last two with a short final block) must pay what
+        # one (12, 8) draw makes them pay.  Column blocks would not.
+        config = small_config(iterations=3)
+        whole, blocked = initial_world(config), initial_world(config)
+        for t in range(config.iterations):
+            expected = run_iteration(whole, config, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "PACKET_BIT_BUDGET", budget)
+                result = run_iteration(blocked, config, t)
+            assert np.array_equal(result.failure_code, expected.failure_code)
+            assert np.array_equal(blocked.energy_pj, whole.energy_pj)
+            assert np.array_equal(blocked.operational, whole.operational)
+        # The packets were paid: energies left full storage unevenly.
+        assert np.unique(whole.energy_pj).size > 2
+
+
 class TestRunSimulation:
+    def test_attempt_bound(self):
+        # A 3x3 grid has 5 nodes; its iterations may reach the bound.
+        most = sim._MAX_ATTEMPTS // 5
+        assert small_config(grid_rows=3, grid_cols=3,
+                            iterations=most).iterations == most
+        for iterations in (most + 1, 10 ** 18):
+            with pytest.raises(ValueError, match="iterations must be at most"):
+                small_config(grid_rows=3, grid_cols=3, iterations=iterations)
+
     def test_attempt_accounting(self):
         config = small_config(iterations=30)
         report = run_simulation(config)
