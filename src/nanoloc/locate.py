@@ -6,7 +6,8 @@ from the others yields a linear system in the unknown (x, y), solved by
 least squares; z is recovered from the mean squared range residual, taking
 the root on the modeled side of the anchor plane (nodes live above it).
 The linear estimate is then refined by damped Gauss-Newton iterations on
-the full nonlinear range residuals.
+the full nonlinear range residuals, the rows of a call streaming through
+a window of at most _GN_WINDOW_ROWS rows, each row with its own pass count.
 
 The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
 length in the package is _norm3's (dx*dx + dy*dy) + dz*dz (norm() is its
@@ -31,7 +32,10 @@ _COPLANAR_REL_TOL = 1e-9
 _GN_MAX_ITERATIONS = 20
 _GN_STEP_TOL_M = 1e-9
 _GN_MAX_BACKTRACKS = 8
-_GN_DAMPING = 1e-9 * np.eye(3)
+# Added to the diagonal of each J^T J.
+_GN_DAMPING = 1e-9
+# Rows one refinement pass solves at most; bounds the solver's memory.
+_GN_WINDOW_ROWS = 2048
 # Step scales tried after the full step: 1/2 ... 1/128.  Exact powers of
 # two, so each equals the repeatedly halved scale bit for bit.
 _GN_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, _GN_MAX_BACKTRACKS))
@@ -121,12 +125,13 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     distances_m has shape (m, 4); returns positions of shape (m, 3).
     The scalar trilaterate() is a thin wrapper around this.
     """
-    d = np.maximum(np.asarray(distances_m, dtype=np.float64), 0.0)
+    d = np.asarray(distances_m, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError("distances_m must have shape (m, 4)")
-    estimate = _linear_estimate(anchors, d)
-    if refine:
-        estimate = _gauss_newton_batch(anchors.positions, d, estimate)
+    # Negative ranges are clamped to zero where they are read; the
+    # refinement reads d one block at a time, so no clamped copy is made.
+    estimate = (_gauss_newton_batch(anchors, d) if refine
+                else _linear_estimate(anchors, np.maximum(d, 0.0)))
     # The mirror image below the anchor plane has identical residuals;
     # keep the modeled half-space.
     z0 = anchors.z_plane_m
@@ -135,18 +140,25 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
 
 
 def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
-    """(m, 3) linear estimate; its temporaries die before the refinement."""
+    """(m, 3) linear estimate, its height summed one anchor at a time."""
     pos = anchors.positions
-    rhs = (d[:, 0:1] ** 2 - d[:, 1:] ** 2
-           + np.sum(pos[1:] ** 2, axis=1)[None, :]
-           - float(np.sum(pos[0] ** 2)))                 # (m, 3)
-    xy = np.linalg.lstsq(anchors.reduced_lhs, rhs.T, rcond=None)[0].T  # (m, 2)
+    squared = d * d
+    rhs = squared[:, 0:1] - squared[:, 1:]
+    rhs += np.sum(pos[1:] ** 2, axis=1)
+    rhs -= float(np.sum(pos[0] ** 2))                    # (m, 3)
+    x, y = np.linalg.lstsq(anchors.reduced_lhs, rhs.T, rcond=None)[0]
+    del rhs
     # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
     # height above the anchor plane; noise can push it negative, in
-    # which case the node is projected onto the plane.
-    dz2 = d ** 2 - np.sum((xy[:, None, :] - pos[None, :, :2]) ** 2, axis=2)
-    z_off = np.sqrt(np.maximum(0.0, dz2.mean(axis=1)))
-    return np.column_stack([xy, anchors.z_plane_m + z_off])
+    # which case the node is projected onto the plane.  The sum runs left
+    # to right, as the mean's add.reduce does over an axis shorter than 8.
+    height2 = 0.0
+    for j in range(4):
+        dx, dy = x - pos[j, 0], y - pos[j, 1]
+        term = squared[:, j] - (dx * dx + dy * dy)
+        height2 = term if j == 0 else height2 + term
+    z_off = np.sqrt(np.maximum(0.0, height2 / 4))
+    return np.column_stack([x, y, anchors.z_plane_m + z_off])
 
 
 def norm(v: np.ndarray) -> np.ndarray:
@@ -160,74 +172,147 @@ def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
-def _gauss_newton_batch(anchor_pos: np.ndarray, d: np.ndarray,
-                        p0: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on range residuals with backtracking step halving.
+def _anchor_ranges(p: np.ndarray, anchor_cols: np.ndarray,
+                   offsets: np.ndarray, ranges: np.ndarray) -> None:
+    """Offsets (3, k, 4) of positions p (3, k) from the anchors, written one
+    anchor column at a time, and their lengths (k, 4) in _norm3's order."""
+    for j in range(4):
+        np.subtract(p, anchor_cols[j], out=offsets[:, :, j])
+    x, y, z = offsets
+    np.multiply(x, x, out=ranges)
+    square = y * y
+    ranges += square
+    np.multiply(z, z, out=square)
+    ranges += square
+    np.sqrt(ranges, out=ranges)
+
+
+def _sum_of_squares(r: np.ndarray) -> np.ndarray:
+    """Sum over the last (length 4) axis of r * r, left to right as
+    add.reduce sums an axis shorter than 8."""
+    q = r * r
+    total = q[..., 0] + q[..., 1]
+    total += q[..., 2]
+    total += q[..., 3]
+    return total
+
+
+def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
+                       dk: np.ndarray) -> np.ndarray:
+    """One pass over k rows at positions x (3, k) with measured ranges dk
+    (k, 4): writes the accepted trial positions to t, or x where no trial
+    lowers the cost, and returns the accepted mask.  Every array it makes
+    dies on return.
+    """
+    k = x.shape[1]
+    anchor_cols = anchors.positions[:, :, None]            # (4, 3, 1)
+    r = np.empty((k, 4))
+    # J^T (k, 3, 4) reuses the anchor offsets' buffer once they are
+    # dead; J (k, 4, 3) is a separate C-ordered stack.  Each stack is
+    # freed once dead, as the Jacobian build is the memory peak.
+    buffer = np.empty(12 * k)
+    offsets = buffer.reshape(3, k, 4)
+    _anchor_ranges(x, anchor_cols, offsets, r)
+    jac = np.empty((k, 4, 3))
+    np.divide(offsets, np.maximum(r, 1e-18), out=jac.transpose(2, 0, 1))
+    jt = buffer.reshape(k, 3, 4)
+    np.copyto(jt, jac.transpose(0, 2, 1))
+    del buffer, offsets
+    r -= dk                                             # residuals
+    cost = _sum_of_squares(r)
+    hess, grad = jt @ jac, (r[:, None, :] @ jac).reshape(k, 3, 1)
+    del jt, jac
+    # Damped normal equations; the damping keeps the solve regular for
+    # the rank-deficient Jacobian of points on the anchor plane while
+    # staying far below the 1e-9 m step tolerance.  One diagonal entry
+    # at a time: an in-place add through a 2-D strided view buffers.
+    for i in range(3):
+        hess[:, i, i] += _GN_DAMPING
+    # The step is minus the solution: x - s * solved is x + s * step
+    # bit for bit, as IEEE subtraction adds the negated operand.
+    solved = np.linalg.solve(hess, grad)[:, :, 0].T
+    del hess, grad
+
+    np.subtract(x, solved, out=t)
+    _anchor_ranges(t, anchor_cols, np.empty((3, k, 4)), r)
+    r -= dk
+    accepted = _sum_of_squares(r) < cost
+    rejected = np.flatnonzero(~accepted)
+    if rejected.size:
+        halved = (x[:, rejected, None]
+                  - _GN_HALVED_SCALES * solved[:, rejected, None])
+        halved_res = (_norm3(*(halved[:, :, :, None]
+                               - anchors.positions.T[:, None, None, :]))
+                      - dk[rejected, None, :])
+        lower = _sum_of_squares(halved_res) < cost[rejected, None]
+        found = lower.any(axis=1)
+        first = halved[:, np.arange(rejected.size), lower.argmax(axis=1)]
+        t[:, rejected] = np.where(found, first, x[:, rejected])
+        accepted[rejected] = found
+    return accepted
+
+
+def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
+    """Linear estimates refined by Gauss-Newton on the range residuals,
+    with backtracking step halving; returns the (m, 3) positions.  The
+    measured ranges d (m, 4) are clamped at zero as each row is read.
 
     Plain Gauss-Newton can diverge when a node sits near the anchor plane
     (ill-conditioned Jacobian); each step is only accepted if it reduces
     the residual norm, and the step is halved otherwise.  Rows the full
     step does not improve try all halved scales in one batch and take the
-    first that lowers the cost; a row that finds none stops.  The working
-    arrays hold only the rows still moving, and an accepted trial's anchor
-    offsets and ranges build the next Jacobian.  Each stack is freed once
-    dead, as the Jacobian build is the memory peak.  p0 is refined in place
-    and returned.
+    first that lowers the cost; a row that finds none stops, as does a row
+    that moved less than the step tolerance or made its last pass.
+
+    The rows stream through a window of at most _GN_WINDOW_ROWS slots, each
+    with its own pass counter: a stopped row's slot takes the call's next
+    row in place, so every pass but those of the call's last rows is a full
+    window, and a pass where no row stops moves no row.  The linear estimate
+    runs per window-sized block as the block joins; out holds it until the
+    row's refined position replaces it, and is written only then.  Each pass
+    recomputes its positions' anchor offsets, which costs less than carrying
+    them through a refill.  Every row keeps the floating-point operations it
+    would have alone, so a row's result does not depend on the others.
     """
-    out = p0
-    rows = np.arange(p0.shape[0])        # output row of each working row
-    anchors = anchor_pos.T[:, None, :]   # (3, 1, 4)
-    # (3, k): x, y and z rows.  A copy: the transpose of a Fortran-ordered
-    # p0 is already C-ordered, and out must not move with p.
-    p = p0.T.copy()
-    diff = p[:, :, None] - anchors       # (3, k, 4)
-    dist = _norm3(*diff)
-    res = dist - d
-    for _ in range(_GN_MAX_ITERATIONS):
-        if rows.size == 0:
-            break
-        jt = np.ascontiguousarray(np.divide(
-            diff, np.maximum(dist, 1e-18), out=diff).transpose(1, 0, 2))
-        del diff
-        jac = np.ascontiguousarray(jt.transpose(0, 2, 1))
-        hess, grad = jt @ jac, (res[:, None, :] @ jac).reshape(-1, 3, 1)
-        del jt, jac
-        # Damped normal equations; the damping keeps the solve regular for
-        # the rank-deficient Jacobian of points on the anchor plane while
-        # staying far below the 1e-9 m step tolerance.
-        hess += _GN_DAMPING
-        step = -np.linalg.solve(hess, grad)[:, :, 0].T
-        del hess, grad
+    m = d.shape[0]
+    out = np.empty((m, 3))
+    size = min(m, _GN_WINDOW_ROWS)
+    # Slot i holds row rows[i] of the call, at position p[:, i] (x, y and z
+    # rows), with its measured ranges dw[i] and the passes it has made.
+    p, trial = np.empty((3, size)), np.empty((3, size))
+    dw = np.empty((size, 4))
+    rows = np.empty(size, dtype=np.intp)
+    passes = np.empty(size, dtype=np.int8)
+    k, free = size, np.arange(size)
+    joined = estimated = 0
+    while True:
+        new = min(free.size, m - joined)
+        if new:
+            if joined + new > estimated:
+                out[estimated:estimated + size] = _linear_estimate(
+                    anchors, np.maximum(d[estimated:estimated + size], 0.0))
+                estimated += size
+            slots = free[:new]
+            p[:, slots] = out[joined:joined + new].T
+            dw[slots] = np.maximum(d[joined:joined + new], 0.0)
+            rows[slots] = np.arange(joined, joined + new)
+            passes[slots] = 0
+            joined += new
+        if new < free.size:
+            # The call has no rows left to join: drop the idle slots.
+            kept = np.delete(np.arange(k), free[new:])
+            k = kept.size
+            p[:, :k] = p[:, kept]
+            for array in (dw, rows, passes):
+                array[:k] = array[kept]
+        if k == 0:
+            return out
 
-        # From here on diff, dist and res describe the trial positions.
-        cost = np.add.reduce(res * res, axis=-1)
-        trial_p = p + step
-        diff = trial_p[:, :, None] - anchors
-        dist = _norm3(*diff)
-        res = dist - d
-        accepted = np.add.reduce(res * res, axis=-1) < cost
-        rejected = np.flatnonzero(~accepted)
-        if rejected.size:
-            halved_p = (p[:, rejected, None]
-                        + _GN_HALVED_SCALES * step[:, rejected, None])
-            halved_diff = halved_p[:, :, :, None] - anchors[:, None]
-            halved_dist = _norm3(*halved_diff)
-            halved_res = halved_dist - d[rejected, None, :]
-            lower = (np.add.reduce(halved_res * halved_res, axis=-1)
-                     < cost[rejected, None])
-            found = lower.any(axis=1)
-            first = lower[found].argmax(axis=1)
-            taken = rejected[found]
-            trial_p[:, taken] = halved_p[:, found, first]
-            diff[:, taken] = halved_diff[:, found, first]
-            dist[taken] = halved_dist[found, first]
-            res[taken] = halved_res[found, first]
-            accepted[taken] = True
-            del halved_p, halved_diff, halved_dist, halved_res
-
-        out[rows[accepted]] = trial_p[:, accepted].T
-        keep = np.flatnonzero(accepted & (_norm3(*(trial_p - p)) >= _GN_STEP_TOL_M))
-        p, diff = trial_p.take(keep, 1), diff.take(keep, 1)
-        dist, res, d, rows = (a.take(keep, 0) for a in (dist, res, d, rows))
-        del step, cost, trial_p, accepted, keep
-    return out
+        x, t = p[:, :k], trial[:, :k]
+        accepted = _gauss_newton_pass(anchors, x, t, dw[:k])
+        passes[:k] += 1
+        moving = (accepted & (_norm3(*(t - x)) >= _GN_STEP_TOL_M)
+                  & (passes[:k] < _GN_MAX_ITERATIONS))
+        free = np.flatnonzero(~moving)
+        out[rows[free]] = t[:, free].T
+        p, trial = trial, p

@@ -11,6 +11,7 @@ from nanoloc.channel import ChannelParams, raw_resolution
 from nanoloc.locate import (AnchorSet, DegenerateGeometryError,
                             _norm3, localization_error, trilaterate,
                             trilaterate_batch)
+from nanoloc.locate import _GN_MAX_ITERATIONS, _GN_WINDOW_ROWS
 from nanoloc.sim import (_LOCATE_CHUNK_ROWS, SimConfig, build_topology,
                          initial_world, run_iteration)
 
@@ -172,10 +173,11 @@ def _reference_range_residuals(anchor_pos, d, p):
     return np.linalg.norm(p[:, None, :] - anchor_pos[None, :, :], axis=2) - d
 
 
-def _reference_gauss_newton_batch(anchor_pos, d, p0):
+def _reference_gauss_newton_batch(anchor_pos, d, p0, passes=None):
     """The step-halving refinement as first written: one backtracking
-    round of numpy calls per halving.  The batched line search must give
-    the same bits."""
+    round of numpy calls per halving, every row of the call in step.  The
+    batched line search must give the same bits.  passes, if given, counts
+    each row's passes."""
     p = p0.copy()
     res = _reference_range_residuals(anchor_pos, d, p)
     cost = np.sum(res ** 2, axis=1)
@@ -183,6 +185,8 @@ def _reference_gauss_newton_batch(anchor_pos, d, p0):
     for _ in range(20):
         if not np.any(active):
             break
+        if passes is not None:
+            passes[active] += 1
         pa = p[active]
         ra = res[active]
         diff = pa[:, None, :] - anchor_pos[None, :, :]
@@ -260,15 +264,34 @@ def _bit_exact_corpus():
     return cases
 
 
+def _reference_refinement(anchors, d, passes=None):
+    """_gauss_newton_batch's contract, met by the reference: the linear
+    estimates of the clamped ranges, refined."""
+    d = np.maximum(d, 0.0)
+    return _reference_gauss_newton_batch(
+        anchors.positions, d, locate._linear_estimate(anchors, d), passes)
+
+
 class TestRefinementBitExact:
     @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
     def test_matches_step_halving_reference(self, monkeypatch, anchors,
                                             distances):
         actual = trilaterate_batch(anchors, distances)
         monkeypatch.setattr(locate, "_gauss_newton_batch",
-                            _reference_gauss_newton_batch)
+                            _reference_refinement)
         expected = trilaterate_batch(anchors, distances)
         assert np.array_equal(actual, expected)
+
+    def test_corpus_reaches_the_pass_cap(self):
+        # Each row counts its own passes; a row still moving at the cap
+        # checks that count against the reference's shared loop bound.
+        capped = 0
+        for case in _bit_exact_corpus():
+            anchors, distances = case.values
+            passes = np.zeros(len(distances), dtype=int)
+            _reference_refinement(anchors, distances, passes)
+            capped += np.count_nonzero(passes == _GN_MAX_ITERATIONS)
+        assert capped > 0
 
 
 class TestNumpyOrder:
@@ -301,10 +324,12 @@ class TestNumpyOrder:
 
 class TestRowIndependence:
     """A row's estimate must not depend on the other rows of its call:
-    the simulator solves many periods' rows together, in chunks."""
+    the simulator solves many periods' rows together, in chunks, and the
+    refinement streams a chunk's rows through its window."""
 
     @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
-    @pytest.mark.parametrize("split", ["single_rows", "uneven", "chunk_rows"])
+    @pytest.mark.parametrize("split", ["single_rows", "uneven", "chunk_rows",
+                                       "window_refill"])
     def test_parts_equal_whole(self, anchors, distances, split):
         if split == "chunk_rows":
             # Enough rows for two full chunks and a shorter last one.
@@ -312,6 +337,13 @@ class TestRowIndependence:
             distances = np.tile(distances, (copies, 1))
             cuts = np.arange(_LOCATE_CHUNK_ROWS, len(distances),
                              _LOCATE_CHUNK_ROWS)
+        elif split == "window_refill":
+            # More rows than the window: whole, every stopped row's slot
+            # takes a new row; in parts that are no multiple of the window,
+            # the rows meet other rows in their passes.
+            copies = 2 * _GN_WINDOW_ROWS // len(distances) + 2
+            distances = np.tile(distances, (copies, 1))
+            cuts = np.cumsum([_GN_WINDOW_ROWS // 3, _GN_WINDOW_ROWS + 7])
         elif split == "single_rows":
             cuts = np.arange(1, len(distances))
         else:
@@ -326,12 +358,15 @@ class TestRowIndependence:
 
 class TestRefinementMemory:
     def test_peak_heap_per_row(self):
-        # The Jacobian build is the refinement's peak.  Its live stacks, J^T
-        # and J (96 B per row each), the Hessian (72) and gradient (24) and
-        # the working positions, ranges, residuals, measured ranges and row
-        # index (24 + 32 + 32 + 32 + 8), add up to 416 B per row.  Keeping
-        # the anchor offsets, a Jacobian stack or the Hessian alive past its
-        # last use adds 72 B per row or more.
+        # A simulator-sized call: its (m, 3) result, 24 B per row, is the
+        # only allocation that grows with m.  The rest is bounded by the
+        # window and peaks at the Jacobian build.  Per window row: the
+        # positions and trial positions, measured ranges, row index and
+        # pass count (24 + 24 + 32 + 8 + 1), the pass's ranges and costs
+        # (32 + 8), J^T and J (96 each), the Hessian (72) and gradient (24)
+        # add up to 417 B; the last pass's masks and stopped slots add up to
+        # 10.  Keeping a Jacobian stack or the Hessian alive past its last
+        # use adds 72 B per row or more.
         config = SimConfig()
         topology = build_topology(config)
         anchors = topology.anchors
@@ -342,19 +377,19 @@ class TestRefinementMemory:
         rng = np.random.default_rng(33)
         sigma = raw_resolution(config.channel.bandwidth_hz)
         d = d + sigma * rng.standard_normal(d.shape)
-        p0 = locate._linear_estimate(anchors, d)
+        assert len(d) > 2 * _GN_WINDOW_ROWS
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            locate._gauss_newton_batch(anchors.positions, d, p0)
+            locate._gauss_newton_batch(anchors, d)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak / _LOCATE_CHUNK_ROWS < 440
+        assert (peak - 24 * len(d)) / _GN_WINDOW_ROWS < 448
 
 
 def _horizontal_crlb(points: np.ndarray, anchor_pos: np.ndarray,

@@ -484,7 +484,7 @@ class TestDeferredLocalization:
         dict(grid_rows=_OVER_CHUNK_SIDE, grid_cols=_OVER_CHUNK_SIDE,
              iterations=3),
         # Moving nodes; the periods' rows span several chunks.
-        dict(grid_rows=12, grid_cols=12, iterations=40,
+        dict(grid_rows=12, grid_cols=12, iterations=120,
              mobility_resample=True),
     ])
     def test_errors_equal_per_iteration_solves(self, overrides):
