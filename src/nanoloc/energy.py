@@ -184,5 +184,8 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
     # A full node stays full.  Its curve runs from empty instead, away from
     # the log's pole at max_storage_pj, and the result is discarded.
     n = _cycle_positions(np.where(charging, energy_pj, 0.0), params) + cycles
-    np.copyto(energy_pj, energy_at_cycle(n, params), where=charging)
+    # Within about 1e-12 pJ of full storage the inverse cancels and places
+    # a node below its own level; harvesting never takes energy away.
+    np.copyto(energy_pj, np.maximum(energy_at_cycle(n, params), energy_pj),
+              where=charging)
     operational |= energy_pj >= params.effective_turn_on_pj

@@ -61,6 +61,16 @@ _LOCATE_CHUNK_ROWS = 8192
 # memo without replaying.
 _DRAW_FREE_CAP = 32
 
+# Nodes one run may place.  A placement and its period hold about 1.1 KB
+# per node: positions, ranges and link verdicts (24 + 32 + 5 B) with, while
+# placing, the anchor offsets (96 B) and the link budget's (n, 4) arrays
+# (about 160 B); energy, flags, ranging noise, measured ranges and their
+# true positions (about 120 B) per period; and up to _DRAW_FREE_CAP
+# memoized draw-free periods of about 20 B each.  tracemalloc puts a run's
+# peak at 550-900 B per node on 100 x 100 and 200 x 200 grids.  2**18
+# nodes, a 512 x 512 grid, stay under 300 MB.
+_MAX_NODES = 2 ** 18
+
 # Localization attempts (nodes x iterations) one run may make; the error
 # samples and the per-iteration series grow with them.  The longest shipped
 # run makes 2.48 million.
@@ -99,6 +109,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ValueError("grid_rows and grid_cols must be >= 2")
+        if self.grid_rows * self.grid_cols - 4 > _MAX_NODES:
+            raise ValueError(f"grid_rows x grid_cols - 4 nodes must be at "
+                             f"most {_MAX_NODES}")
         if not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
             raise ValueError("spacing_m must be strictly positive")
         # The largest squared sum trilateration forms: a noiseless squared

@@ -410,6 +410,17 @@ class TestHarvestBatch:
                 assert batch_e[i] == pytest.approx(expected, abs=1e-9)
                 assert bool(batch_op[i]) == on
 
+    def test_never_takes_energy_near_full_storage(self):
+        # Next to full storage the curve's inverse cancels and places a
+        # node below its own level; harvesting must still not lower it.
+        start = np.array([np.nextafter(800.0, 0.0), 800.0 - 1e-12,
+                          800.0 - 1e-9])
+        for elapsed in (0.02, 0.1, 0.37):
+            energies = start.copy()
+            harvest_batch(energies, np.ones(3, dtype=bool), elapsed, PARAMS)
+            assert np.all(energies >= start)
+            assert np.all(energies <= 800.0)
+
     def test_updates_in_place(self):
         energies = np.array([9.9, 700.0])
         flags = np.array([False, True])
