@@ -14,7 +14,9 @@ is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
 Only the successful rounds get range estimates (ranging.range_estimates).
 An estimate feeds nothing back, so run_simulation defers trilateration:
 it solves the successful rows of many periods together, in chunks of
-_LOCATE_CHUNK_ROWS (2048) rows, which bounds memory at any grid size.
+_LOCATE_CHUNK_ROWS (8192) rows, which bounds the pending rows at any grid
+size; the solver streams each chunk through its own window of at most
+locate._GN_WINDOW_ROWS (2048) rows, which bounds its working memory.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
 Each iteration draws node-major from its own substream, in a fixed order
@@ -341,6 +343,22 @@ class TrialReport:
     error_samples_m: np.ndarray
 
 
+def _split_rows(pieces: list[np.ndarray], size: int
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The first size rows of a list of row blocks, and the rest.  A block
+    cut in two leaves a copy of its tail, so no view keeps it alive."""
+    taken = 0
+    for i, piece in enumerate(pieces):
+        if taken + len(piece) >= size:
+            cut = size - taken
+            rest = pieces[i + 1:]
+            if cut < len(piece):
+                rest.insert(0, piece[cut:].copy())
+            return pieces[:i] + [piece[:cut]], rest
+        taken += len(piece)
+    return pieces, []
+
+
 def run_simulation(config: SimConfig) -> TrialReport:
     """Run the configured number of iterations over one fixed topology.
 
@@ -366,20 +384,25 @@ def run_simulation(config: SimConfig) -> TrialReport:
         last = t == config.iterations - 1
         while pending >= _LOCATE_CHUNK_ROWS or (last and pending):
             size = min(pending, _LOCATE_CHUNK_ROWS)
-            rows, points = np.concatenate(measured), np.concatenate(truth)
-            # Copies: views would keep the whole concatenations alive.
-            measured, truth = [rows[size:].copy()], [points[size:].copy()]
+            chunk, measured = _split_rows(measured, size)
+            points, truth = _split_rows(truth, size)
             pending -= size
+            rows = np.concatenate(chunk)
+            del chunk
             # Range noise that overflows the solve is caught just below.
             with np.errstate(over="ignore", invalid="ignore"):
-                estimates = trilaterate_batch(anchors, rows[:size])
-                estimates -= points[:size]
+                estimates = trilaterate_batch(anchors, rows)
+                del rows
+                start = 0
+                for piece in points:
+                    estimates[start:start + len(piece)] -= piece
+                    start += len(piece)
                 errors = norm(estimates)
             # The run-long error chunk is copied once the chunk's arrays are
             # freed, so it takes the room they leave instead of sitting above
             # it: kept in place, it pins the heap and a default run's peak
             # resident set grows by about 1 MB.
-            del rows, points, estimates
+            del points, estimates
             samples.append(errors.copy())
             if not np.all(np.isfinite(samples[-1])):
                 raise ValueError("non-finite localization error: "
