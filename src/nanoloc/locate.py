@@ -150,13 +150,14 @@ def _linear_estimate(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
     del rhs
     # Mean over anchors of d_i^2 - |xy - a_i|^2 estimates the squared
     # height above the anchor plane; noise can push it negative, in
-    # which case the node is projected onto the plane.  The sum runs left
-    # to right, as the mean's add.reduce does over an axis shorter than 8.
-    height2 = 0.0
-    for j in range(4):
+    # which case the node is projected onto the plane.
+
+    def term(j: int) -> np.ndarray:
         dx, dy = x - pos[j, 0], y - pos[j, 1]
-        term = squared[:, j] - (dx * dx + dy * dy)
-        height2 = term if j == 0 else height2 + term
+        return squared[:, j] - (dx * dx + dy * dy)
+
+    # Left to right, as the mean's add.reduce sums an axis shorter than 8.
+    height2 = ((term(0) + term(1)) + term(2)) + term(3)
     z_off = np.sqrt(np.maximum(0.0, height2 / 4))
     return np.column_stack([x, y, anchors.z_plane_m + z_off])
 
@@ -207,8 +208,8 @@ def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
     k = x.shape[1]
     anchor_cols = anchors.positions[:, :, None]            # (4, 3, 1)
     r = np.empty((k, 4))
-    # J^T (k, 3, 4) reuses the anchor offsets' buffer once they are
-    # dead; J (k, 4, 3) is a separate C-ordered stack.  Each stack is
+    # One buffer holds the anchor offsets, then J^T (k, 3, 4), then the
+    # trial's anchor offsets; J (k, 4, 3) is a separate C-ordered stack,
     # freed once dead, as the Jacobian build is the memory peak.
     buffer = np.empty(12 * k)
     offsets = buffer.reshape(3, k, 4)
@@ -217,11 +218,10 @@ def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
     np.divide(offsets, np.maximum(r, 1e-18), out=jac.transpose(2, 0, 1))
     jt = buffer.reshape(k, 3, 4)
     np.copyto(jt, jac.transpose(0, 2, 1))
-    del buffer, offsets
     r -= dk                                             # residuals
     cost = _sum_of_squares(r)
     hess, grad = jt @ jac, (r[:, None, :] @ jac).reshape(k, 3, 1)
-    del jt, jac
+    del jac
     # Damped normal equations; the damping keeps the solve regular for
     # the rank-deficient Jacobian of points on the anchor plane while
     # staying far below the 1e-9 m step tolerance.  One diagonal entry
@@ -234,7 +234,7 @@ def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
     del hess, grad
 
     np.subtract(x, solved, out=t)
-    _anchor_ranges(t, anchor_cols, np.empty((3, k, 4)), r)
+    _anchor_ranges(t, anchor_cols, offsets, r)
     r -= dk
     accepted = _sum_of_squares(r) < cost
     rejected = np.flatnonzero(~accepted)

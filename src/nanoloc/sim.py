@@ -393,6 +393,8 @@ def run_simulation(config: SimConfig) -> TrialReport:
             with np.errstate(over="ignore", invalid="ignore"):
                 estimates = trilaterate_batch(anchors, rows)
                 del rows
+                # The true positions are subtracted block by block: joined,
+                # they would be a second copy of them beside the estimates.
                 start = 0
                 for piece in points:
                     estimates[start:start + len(piece)] -= piece

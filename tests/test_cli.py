@@ -480,7 +480,7 @@ class TestMain:
         ({"packet_bits": PACKET_BIT_BUDGET + 1}, None, "packet_bits"),
         # A run too long to finish or to hold its per-iteration series.
         ({"iterations": 1e18}, None, "iterations"),
-        # A grid whose placement would take gigabytes.
+        # More nodes than a run may place.
         ({"grid_rows": 513, "grid_cols": 512}, None, "grid_rows"),
         # The spreading argument 4*pi*f*d/c underflows to 0.
         ({"frequency_hz": 5e-324}, None, "frequency_hz"),
@@ -492,9 +492,8 @@ class TestMain:
         ({}, "2e12," + "0" * 131073, "k.csv:3: field larger than"),
     ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
             "cycle_tiny", "packet_huge", "packet_long", "iterations_huge",
-            "grid_huge",
-            "frequency_tiny", "spacing_huge", "table_nan", "table_inf",
-            "table_field_huge"])
+            "grid_huge", "frequency_tiny", "spacing_huge", "table_nan",
+            "table_inf", "table_field_huge"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:

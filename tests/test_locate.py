@@ -8,10 +8,10 @@ import pytest
 
 from nanoloc import locate
 from nanoloc.channel import ChannelParams, raw_resolution
-from nanoloc.locate import (AnchorSet, DegenerateGeometryError,
-                            _norm3, localization_error, trilaterate,
+from nanoloc.locate import (_GN_MAX_ITERATIONS, _GN_WINDOW_ROWS, AnchorSet,
+                            DegenerateGeometryError, _norm3,
+                            localization_error, trilaterate,
                             trilaterate_batch)
-from nanoloc.locate import _GN_MAX_ITERATIONS, _GN_WINDOW_ROWS
 from nanoloc.sim import (_LOCATE_CHUNK_ROWS, SimConfig, build_topology,
                          initial_world, run_iteration)
 
