@@ -128,10 +128,19 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     d = np.asarray(distances_m, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError("distances_m must have shape (m, 4)")
-    # Negative ranges are clamped to zero where they are read; the
-    # refinement reads d one block at a time, so no clamped copy is made.
-    estimate = (_gauss_newton_batch(anchors, d) if refine
-                else _linear_estimate(anchors, np.maximum(d, 0.0)))
+    # Negative ranges are clamped to zero as each window-sized block is
+    # read.  The linear stage's lstsq runs on such blocks only: over a few
+    # thousand right-hand sides OpenBLAS may split it into threads, and on
+    # a 2-core host 4096 or 8192 of them took about 40 times longer per row
+    # than 2048.
+    if refine:
+        estimate = _gauss_newton_batch(anchors, d)
+    else:
+        estimate = np.empty((len(d), 3))
+        for start in range(0, len(d), _GN_WINDOW_ROWS):
+            block = np.maximum(d[start:start + _GN_WINDOW_ROWS], 0.0)
+            estimate[start:start + len(block)] = _linear_estimate(anchors,
+                                                                  block)
     # The mirror image below the anchor plane has identical residuals;
     # keep the modeled half-space.
     z0 = anchors.z_plane_m

@@ -356,6 +356,17 @@ class TestRowIndependence:
         assert np.array_equal(whole, np.concatenate(parts))
 
 
+    @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
+    def test_linear_blocks_equal_parts(self, anchors, distances):
+        # Unrefined, the linear stage runs in window-sized blocks.
+        copies = _GN_WINDOW_ROWS // len(distances) + 2
+        distances = np.tile(distances, (copies, 1))
+        whole = trilaterate_batch(anchors, distances, refine=False)
+        parts = [trilaterate_batch(anchors, part, refine=False)
+                 for part in np.split(distances, [7, _GN_WINDOW_ROWS + 3])]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
 class TestRefinementMemory:
     def test_peak_heap_per_row(self):
         # A simulator-sized call: its (m, 3) result, 24 B per row, is the
