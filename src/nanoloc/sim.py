@@ -74,8 +74,9 @@ _DRAW_FREE_CAP = 32
 _MAX_NODES = 2 ** 18
 
 # Localization attempts (nodes x iterations) one run may make; the error
-# samples and the per-iteration series grow with them.  The longest shipped
-# run makes 2.48 million.
+# samples (8 B reserved per attempt, resident only as they fill) and the
+# per-iteration series grow with them.  The longest shipped run makes 2.48
+# million.
 _MAX_ATTEMPTS = 10 ** 8
 
 Seed = int | tuple[int, ...]
@@ -343,22 +344,6 @@ class TrialReport:
     error_samples_m: np.ndarray
 
 
-def _split_rows(pieces: list[np.ndarray], size: int
-                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The first size rows of a list of row blocks, and the rest.  A block
-    cut in two leaves a copy of its tail, so no view keeps it alive."""
-    taken = 0
-    for i, piece in enumerate(pieces):
-        if taken + len(piece) >= size:
-            cut = size - taken
-            rest = pieces[i + 1:]
-            if cut < len(piece):
-                rest.insert(0, piece[cut:].copy())
-            return pieces[:i] + [piece[:cut]], rest
-        taken += len(piece)
-    return pieces, []
-
-
 def run_simulation(config: SimConfig) -> TrialReport:
     """Run the configured number of iterations over one fixed topology.
 
@@ -369,8 +354,13 @@ def run_simulation(config: SimConfig) -> TrialReport:
     # Mobility moves the nodes, never the controllers or the node count.
     anchors, n = world.topology.anchors, world.topology.node_count
 
+    attempts = n * config.iterations
     per_iteration: list[int] = []
-    samples = [np.empty(0)]
+    # One slot per attempt, as an attempt yields at most one error sample:
+    # only the pages the samples fill become resident, and the report keeps
+    # a view of them, so the samples are never joined or copied.
+    errors = np.empty(attempts)
+    solved = 0
     measured, truth, pending = [], [], 0     # rows not solved yet
     for t in range(config.iterations):
         result = run_iteration(world, config, t)
@@ -384,35 +374,24 @@ def run_simulation(config: SimConfig) -> TrialReport:
         last = t == config.iterations - 1
         while pending >= _LOCATE_CHUNK_ROWS or (last and pending):
             size = min(pending, _LOCATE_CHUNK_ROWS)
-            chunk, measured = _split_rows(measured, size)
-            points, truth = _split_rows(truth, size)
+            rows, points = np.concatenate(measured), np.concatenate(truth)
+            # Copies: views would keep the whole concatenations alive.
+            measured, truth = [rows[size:].copy()], [points[size:].copy()]
             pending -= size
-            rows = np.concatenate(chunk)
-            del chunk
             # Range noise that overflows the solve is caught just below.
             with np.errstate(over="ignore", invalid="ignore"):
-                estimates = trilaterate_batch(anchors, rows)
+                estimates = trilaterate_batch(anchors, rows[:size])
                 del rows
-                # The true positions are subtracted block by block: joined,
-                # they would be a second copy of them beside the estimates.
-                start = 0
-                for piece in points:
-                    estimates[start:start + len(piece)] -= piece
-                    start += len(piece)
-                errors = norm(estimates)
-            # The run-long error chunk is copied once the chunk's arrays are
-            # freed, so it takes the room they leave instead of sitting above
-            # it: kept in place, it pins the heap and a default run's peak
-            # resident set grows by about 1 MB.
+                estimates -= points[:size]
+                errors[solved:solved + size] = norm(estimates)
             del points, estimates
-            samples.append(errors.copy())
-            if not np.all(np.isfinite(samples[-1])):
+            solved += size
+            if not np.all(np.isfinite(errors[solved - size:solved])):
                 raise ValueError("non-finite localization error: "
                                  "c/B range noise overflows")
 
-    errors = np.concatenate(samples)
+    errors = errors[:solved]
     successes = int(sum(per_iteration))
-    attempts = n * config.iterations
     return TrialReport(
         mean_error_m=float(errors.mean()) if errors.size else float("nan"),
         p90_error_m=nearest_rank_percentile(errors, 90.0),
