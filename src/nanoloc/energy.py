@@ -180,12 +180,14 @@ def harvest_batch(energy_pj: np.ndarray, operational: np.ndarray,
                             + _CYCLE_COUNT_EPS))
     if cycles == 0:
         return
-    charging = energy_pj < params.max_storage_pj
-    # A full node stays full.  Its curve runs from empty instead, away from
-    # the log's pole at max_storage_pj, and the result is discarded.
-    n = _cycle_positions(np.where(charging, energy_pj, 0.0), params) + cycles
-    # Within about 1e-12 pJ of full storage the inverse cancels and places
-    # a node below its own level; harvesting never takes energy away.
-    np.copyto(energy_pj, np.maximum(energy_at_cycle(n, params), energy_pj),
-              where=charging)
+    # A full node's curve runs from the highest storable level instead,
+    # away from the log's pole at max_storage_pj.
+    n = _cycle_positions(
+        np.minimum(energy_pj, np.nextafter(params.max_storage_pj, 0.0)),
+        params) + cycles
+    # Harvesting never takes energy away: that keeps a full node full, as
+    # its curve never exceeds max_storage_pj, and a node within about
+    # 1e-12 pJ of full storage, which the inverse cancels and places below
+    # its own level.
+    np.maximum(energy_at_cycle(n, params), energy_pj, out=energy_pj)
     operational |= energy_pj >= params.effective_turn_on_pj

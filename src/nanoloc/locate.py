@@ -5,9 +5,10 @@ of the metamaterial do.  Subtracting the first anchor's sphere equation
 from the others yields a linear system in the unknown (x, y), solved by
 least squares; z is recovered from the mean squared range residual, taking
 the root on the modeled side of the anchor plane (nodes live above it).
-The linear estimate is then refined by damped Gauss-Newton iterations on
-the full nonlinear range residuals, the rows of a call streaming through
-a window of at most _GN_WINDOW_ROWS rows, each row with its own pass count.
+A call runs this linear stage once, in blocks of _GN_WINDOW_ROWS rows,
+then refines its estimates in place by damped Gauss-Newton iterations on
+the full nonlinear range residuals, the rows streaming through a window of
+at most _GN_WINDOW_ROWS rows, each row with its own pass count.
 
 The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
 length in the package is _norm3's (dx*dx + dy*dy) + dz*dz (norm() is its
@@ -128,19 +129,17 @@ def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
     d = np.asarray(distances_m, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] != 4:
         raise ValueError("distances_m must have shape (m, 4)")
-    # Negative ranges are clamped to zero as each window-sized block is
-    # read.  The linear stage's lstsq runs on such blocks only: over a few
-    # thousand right-hand sides OpenBLAS may split it into threads, and on
-    # a 2-core host 4096 or 8192 of them took about 40 times longer per row
-    # than 2048.
+    # The linear stage runs in window-sized blocks, each clamping its
+    # negative ranges to zero.  Its lstsq runs on such blocks only: over a
+    # few thousand right-hand sides OpenBLAS may split it into threads.  On
+    # a 2-core host running two such processes, 4096 of them took 2 to 4 us
+    # per row against 0.08 us at 2048 (alone, both took about 0.05 us).
+    estimate = np.empty((len(d), 3))
+    for start in range(0, len(d), _GN_WINDOW_ROWS):
+        block = np.maximum(d[start:start + _GN_WINDOW_ROWS], 0.0)
+        estimate[start:start + len(block)] = _linear_estimate(anchors, block)
     if refine:
-        estimate = _gauss_newton_batch(anchors, d)
-    else:
-        estimate = np.empty((len(d), 3))
-        for start in range(0, len(d), _GN_WINDOW_ROWS):
-            block = np.maximum(d[start:start + _GN_WINDOW_ROWS], 0.0)
-            estimate[start:start + len(block)] = _linear_estimate(anchors,
-                                                                  block)
+        _gauss_newton_batch(anchors, d, estimate)
     # The mirror image below the anchor plane has identical residuals;
     # keep the modeled half-space.
     z0 = anchors.z_plane_m
@@ -261,10 +260,11 @@ def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
     return accepted
 
 
-def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
-    """Linear estimates refined by Gauss-Newton on the range residuals,
-    with backtracking step halving; returns the (m, 3) positions.  The
-    measured ranges d (m, 4) are clamped at zero as each row is read.
+def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray,
+                        out: np.ndarray) -> None:
+    """Refine the (m, 3) estimates in out, in place, by Gauss-Newton on the
+    range residuals, with backtracking step halving.  The measured ranges
+    d (m, 4) are clamped at zero as each row is read.
 
     Plain Gauss-Newton can diverge when a node sits near the anchor plane
     (ill-conditioned Jacobian); each step is only accepted if it reduces
@@ -276,15 +276,13 @@ def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
     The rows stream through a window of at most _GN_WINDOW_ROWS slots, each
     with its own pass counter: a stopped row's slot takes the call's next
     row in place, so every pass but those of the call's last rows is a full
-    window, and a pass where no row stops moves no row.  The linear estimate
-    runs per window-sized block as the block joins; out holds it until the
-    row's refined position replaces it, and is written only then.  Each pass
+    window, and a pass where no row stops moves no row.  A row of out is
+    read as the row joins and written once, when it stops.  Each pass
     recomputes its positions' anchor offsets, which costs less than carrying
     them through a refill.  Every row keeps the floating-point operations it
     would have alone, so a row's result does not depend on the others.
     """
     m = d.shape[0]
-    out = np.empty((m, 3))
     size = min(m, _GN_WINDOW_ROWS)
     # Slot i holds row rows[i] of the call, at position p[:, i] (x, y and z
     # rows), with its measured ranges dw[i] and the passes it has made.
@@ -293,14 +291,10 @@ def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
     rows = np.empty(size, dtype=np.intp)
     passes = np.empty(size, dtype=np.int8)
     k, free = size, np.arange(size)
-    joined = estimated = 0
+    joined = 0
     while True:
         new = min(free.size, m - joined)
         if new:
-            if joined + new > estimated:
-                out[estimated:estimated + size] = _linear_estimate(
-                    anchors, np.maximum(d[estimated:estimated + size], 0.0))
-                estimated += size
             slots = free[:new]
             p[:, slots] = out[joined:joined + new].T
             dw[slots] = np.maximum(d[joined:joined + new], 0.0)
@@ -315,7 +309,7 @@ def _gauss_newton_batch(anchors: AnchorSet, d: np.ndarray) -> np.ndarray:
             for array in (dw, rows, passes):
                 array[:k] = array[kept]
         if k == 0:
-            return out
+            return
 
         x, t = p[:, :k], trial[:, :k]
         accepted = _gauss_newton_pass(anchors, x, t, dw[:k])

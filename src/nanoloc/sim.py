@@ -15,8 +15,7 @@ Only the successful rounds get range estimates (ranging.range_estimates).
 An estimate feeds nothing back, so run_simulation defers trilateration:
 it solves the successful rows of many periods together, in chunks of
 _LOCATE_CHUNK_ROWS (8192) rows, which bounds the pending rows at any grid
-size; the solver streams each chunk through its own window of at most
-locate._GN_WINDOW_ROWS (2048) rows, which bounds its working memory.
+size.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
 Each iteration draws node-major from its own substream, in a fixed order
@@ -52,9 +51,7 @@ from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
 _TOPOLOGY_STREAM = 0
 _ITERATION_STREAM = 1
 
-# Rows per trilaterate_batch call; bounds the rows pending a solve.  The
-# solver's own memory is bounded by its window (locate._GN_WINDOW_ROWS),
-# which a call of several windows keeps full until its last rows.
+# Rows per trilaterate_batch call; bounds the rows pending a solve.
 _LOCATE_CHUNK_ROWS = 8192
 
 # Draw-free periods one WorldState memoizes; bounds the memo's memory.  A

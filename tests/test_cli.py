@@ -31,10 +31,16 @@ NUMERIC_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
                       or key == "initial_energy_pj")
 FLOAT_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
                     if type(value) is float or key == "initial_energy_pj")
+INT_KEYS = sorted(key for key, value in CONFIG_DEFAULTS.items()
+                  if type(value) is int)
+# Around zero, and at the int32 and int64 overflow points.
+INT_EXTREMES = (-1, 0, 1, 2, 2 ** 31, 2 ** 63)
 # The extremes of floating point: near the largest and smallest normal
 # magnitudes, the smallest subnormal, and decades between.
 EXTREMES = (1e308, -1e308, 1e300, 1e200, 1e100, 1e30, 1e12, 1e-12, 1e-30,
             1e-100, 1e-200, 1e-300, 1e-308, -1e-308, 5e-324)
+EXTREME_CASES = ([(key, value) for key in FLOAT_KEYS for value in EXTREMES]
+                 + [(key, value) for key in INT_KEYS for value in INT_EXTREMES])
 
 
 def write_json(path, payload):
@@ -511,12 +517,14 @@ class TestMain:
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("value", EXTREMES)
-    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("key, value", EXTREME_CASES)
     def test_extreme_value_runs_or_is_one_error(self, tmp_path, capsys, key,
                                                 value):
         # Under error::RuntimeWarning a numpy overflow, underflow to a
-        # divisor or invalid value would escape main as a traceback.
+        # divisor or invalid value would escape main as a traceback.  run
+        # reads workers only for its check, so no value sizes a pool; the
+        # grid, attempt and packet bounds reject the large integers before
+        # anything is allocated for them.
         config = write_json(tmp_path / "config.json", {
             "grid_rows": 3, "grid_cols": 3, "iterations": 3, key: value})
         code = main(["run", "--config", str(config)])

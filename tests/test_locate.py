@@ -264,12 +264,11 @@ def _bit_exact_corpus():
     return cases
 
 
-def _reference_refinement(anchors, d, passes=None):
-    """_gauss_newton_batch's contract, met by the reference: the linear
-    estimates of the clamped ranges, refined."""
-    d = np.maximum(d, 0.0)
-    return _reference_gauss_newton_batch(
-        anchors.positions, d, locate._linear_estimate(anchors, d), passes)
+def _reference_refinement(anchors, d, out, passes=None):
+    """_gauss_newton_batch's contract, met by the reference: the estimates
+    in out refined in place against the clamped ranges."""
+    out[:] = _reference_gauss_newton_batch(
+        anchors.positions, np.maximum(d, 0.0), out, passes)
 
 
 class TestRefinementBitExact:
@@ -282,6 +281,14 @@ class TestRefinementBitExact:
         expected = trilaterate_batch(anchors, distances)
         assert np.array_equal(actual, expected)
 
+    @pytest.mark.parametrize("anchors, distances", _bit_exact_corpus())
+    def test_linear_stage_reads_clamped_ranges(self, anchors, distances):
+        # The reference refines the estimates it is given, so the linear
+        # stage both settings share is pinned here.
+        assert np.array_equal(
+            trilaterate_batch(anchors, distances, refine=False),
+            locate._linear_estimate(anchors, np.maximum(distances, 0.0)))
+
     def test_corpus_reaches_the_pass_cap(self):
         # Each row counts its own passes; a row still moving at the cap
         # checks that count against the reference's shared loop bound.
@@ -289,7 +296,9 @@ class TestRefinementBitExact:
         for case in _bit_exact_corpus():
             anchors, distances = case.values
             passes = np.zeros(len(distances), dtype=int)
-            _reference_refinement(anchors, distances, passes)
+            # The linear stage both settings share.
+            estimate = trilaterate_batch(anchors, distances, refine=False)
+            _reference_refinement(anchors, distances, estimate, passes)
             capped += np.count_nonzero(passes == _GN_MAX_ITERATIONS)
         assert capped > 0
 
@@ -369,9 +378,10 @@ class TestRowIndependence:
 
 class TestRefinementMemory:
     def test_peak_heap_per_row(self):
-        # A simulator-sized call: its (m, 3) result, 24 B per row, is the
-        # only allocation that grows with m.  The rest is bounded by the
-        # window and peaks at the Jacobian build.  Per window row: the
+        # A simulator-sized call: its (m, 3) linear estimates, refined in
+        # place, 24 B per row, are the only allocation that grows with m.
+        # The rest is bounded by the window and peaks at the Jacobian build,
+        # after the linear stage's blocks have died.  Per window row: the
         # positions and trial positions, measured ranges, row index and
         # pass count (24 + 24 + 32 + 8 + 1), the pass's ranges and costs
         # (32 + 8), J^T and J (96 each), the Hessian (72) and gradient (24)
@@ -395,7 +405,8 @@ class TestRefinementMemory:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            locate._gauss_newton_batch(anchors, d)
+            out = trilaterate_batch(anchors, d, refine=False)
+            locate._gauss_newton_batch(anchors, d, out)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:

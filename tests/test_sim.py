@@ -474,7 +474,7 @@ def _per_iteration_errors(config: SimConfig) -> np.ndarray:
 
 
 # A square grid whose nodes (all but the four corner controllers) outnumber
-# the rows of one trilateration chunk: 46x46 holds 2112 nodes for 2048 rows.
+# the rows of one trilateration chunk: 91x91 holds 8277 nodes for 8192 rows.
 _OVER_CHUNK_SIDE = math.isqrt(_LOCATE_CHUNK_ROWS + 4) + 1
 
 
