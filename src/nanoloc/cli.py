@@ -334,7 +334,9 @@ def emit_results(rows: Sequence[ResultRow], path: str | Path,
             writer.writerows(dataclasses.astuple(row) for row in rows)
     elif fmt == "json":
         with path.open("w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(row) for row in rows], fh, indent=2)
+            json.dump([{k: None if isinstance(v, float) and not math.isfinite(v)
+                        else v for k, v in dataclasses.asdict(row).items()}
+                       for row in rows], fh, indent=2, allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format '{fmt}'")

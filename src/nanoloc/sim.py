@@ -13,9 +13,9 @@ The per-iteration engine is vectorized across nodes; its ranging round
 is ranging.measure_batch, and every pulse is paid via energy.spend_batch.
 Only the successful rounds get range estimates (ranging.range_estimates).
 An estimate feeds nothing back, so run_simulation defers trilateration:
-it solves the successful rows of many periods together, in chunks of
-_LOCATE_CHUNK_ROWS (8192) rows, which bounds the pending rows at any grid
-size.
+it solves its backlog of successful rows whole, in one call, once it holds
+_LOCATE_CHUNK_ROWS (8192) rows and after the last period, so a call holds
+fewer than 8192 + n rows for n nodes.
 A Topology's links are computed once per placement: a static run keeps
 build_topology's, mobility resampling places the nodes anew each period.
 Each iteration draws node-major from its own substream, in a fixed order
@@ -51,7 +51,8 @@ from nanoloc.ranging import (CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED,
 _TOPOLOGY_STREAM = 0
 _ITERATION_STREAM = 1
 
-# Rows per trilaterate_batch call; bounds the rows pending a solve.
+# Backlog rows that start a solve; a call holds fewer than this plus the
+# node count (a seed-0 default run: 28 calls, the largest of 8694 rows).
 _LOCATE_CHUNK_ROWS = 8192
 
 # Draw-free periods one WorldState memoizes; bounds the memo's memory.  A
@@ -60,14 +61,14 @@ _LOCATE_CHUNK_ROWS = 8192
 # memo without replaying.
 _DRAW_FREE_CAP = 32
 
-# Nodes one run may place.  A placement and its period hold about 1.1 KB
-# per node: positions, ranges and link verdicts (24 + 32 + 5 B) with, while
-# placing, the anchor offsets (96 B) and the link budget's (n, 4) arrays
-# (about 160 B); energy, flags, ranging noise, measured ranges and their
-# true positions (about 120 B) per period; and up to _DRAW_FREE_CAP
-# memoized draw-free periods of about 20 B each.  tracemalloc puts a run's
-# peak at 550-900 B per node on 100 x 100 and 200 x 200 grids.  2**18
-# nodes, a 512 x 512 grid, stay under 300 MB.
+# Nodes one run may place.  Less its error samples, a run peaks at a solve
+# or a mobile placement: the placement's positions, ranges and link verdicts
+# (61 B per node), energy, flags and the last period's outcome (43 B), then
+# the backlog's ranges, true positions and estimates (80 B) with the solver's
+# window (about 1.1 MB), or a new placement (about 190 B while placing).  Up
+# to _DRAW_FREE_CAP memoized draw-free periods add about 20 B each.  That is
+# 250-300 B per node on 100 x 100 and 200 x 200 grids (tracemalloc,
+# TestRunMemory in tests/test_sim.py); 2**18 nodes stay under 300 MB.
 _MAX_NODES = 2 ** 18
 
 # Localization attempts (nodes x iterations) one run may make; the error
@@ -158,7 +159,8 @@ class SimConfig:
 
     @property
     def edge_length_m(self) -> float:
-        """Distance d between two corner controllers on the same edge."""
+        """Side d = (grid_cols - 1) x spacing_m of the square the four corner
+        controllers form; grid_rows sets only the node count."""
         return (self.grid_cols - 1) * self.spacing_m
 
 
@@ -357,7 +359,7 @@ def run_simulation(config: SimConfig) -> TrialReport:
     # only the pages the samples fill become resident, and the report keeps
     # a view of them, so the samples are never joined or copied.
     errors = np.empty(attempts)
-    solved = 0
+    solved = 0                               # successes solved so far
     measured, truth, pending = [], [], 0     # rows not solved yet
     for t in range(config.iterations):
         result = run_iteration(world, config, t)
@@ -369,32 +371,28 @@ def run_simulation(config: SimConfig) -> TrialReport:
             truth.append(world.topology.node_true_positions[result.success])
             pending += count
         last = t == config.iterations - 1
-        while pending >= _LOCATE_CHUNK_ROWS or (last and pending):
-            size = min(pending, _LOCATE_CHUNK_ROWS)
-            rows, points = np.concatenate(measured), np.concatenate(truth)
-            # Copies: views would keep the whole concatenations alive.
-            measured, truth = [rows[size:].copy()], [points[size:].copy()]
-            pending -= size
+        if pending >= _LOCATE_CHUNK_ROWS or (last and pending):
+            rows, measured = np.concatenate(measured), []
             # Range noise that overflows the solve is caught just below.
             with np.errstate(over="ignore", invalid="ignore"):
-                estimates = trilaterate_batch(anchors, rows[:size])
+                estimates = trilaterate_batch(anchors, rows)
                 del rows
-                estimates -= points[:size]
-                errors[solved:solved + size] = norm(estimates)
-            del points, estimates
-            solved += size
-            if not np.all(np.isfinite(errors[solved - size:solved])):
+                estimates -= np.concatenate(truth)
+                written = errors[solved:solved + pending]
+                written[:] = norm(estimates)
+            del estimates
+            truth, solved, pending = [], solved + pending, 0
+            if not np.all(np.isfinite(written)):
                 raise ValueError("non-finite localization error: "
                                  "c/B range noise overflows")
 
     errors = errors[:solved]
-    successes = int(sum(per_iteration))
     return TrialReport(
         mean_error_m=float(errors.mean()) if errors.size else float("nan"),
         p90_error_m=nearest_rank_percentile(errors, 90.0),
-        availability=(successes / attempts) if attempts else float("nan"),
+        availability=(solved / attempts) if attempts else float("nan"),
         attempts=attempts,
-        successes=successes,
+        successes=solved,
         per_iteration_successes=tuple(per_iteration),
         error_samples_m=errors,
     )

@@ -111,8 +111,8 @@ class TestLoadConfig:
         assert config.channel.absorption_table == ((1e12, 0.5), (2e12, 0.75))
 
     def test_all_keys_accepted(self, tmp_path):
-        payload = {k: v for k, v in CONFIG_DEFAULTS.items() if v is not None}
-        path = write_json(tmp_path / "config.json", payload)
+        # Each default as the file gives it: null where it is None.
+        path = write_json(tmp_path / "config.json", CONFIG_DEFAULTS)
         assert load_config(path) == SimConfig()
 
 
@@ -163,6 +163,9 @@ class TestLoadSweep:
         ({"values": [1e11], "seeds": [True]}, "seeds"),
         ({"values": [1e11], "seeds": [0, "1"]}, "seeds"),
         ({"values": [1e11], "seeds": [1.5]}, "seeds"),
+        ({"values": [1e11], "seeds": []}, "seeds must not be empty"),
+        ({"values": [1e11], "step": 1}, "unknown sweep key 'step'"),
+        ({"values": 1e11}, "'values' and 'seeds' must be arrays"),
     ])
     def test_booleans_and_non_numbers_rejected(self, tmp_path, payload,
                                                message):
@@ -431,6 +434,24 @@ class TestMain:
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_json_without_successes_is_standard(self, tmp_path, capsys):
+        # No node ever localizes, so both errors are NaN, which standard
+        # JSON cannot hold: they are written as null.
+        config = self.config_path(tmp_path, grid_rows=3, grid_cols=3,
+                                  iterations=2, initial_energy_pj=0)
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"not standard JSON: {constant}")
+
+        [row] = json.loads(out.read_text(encoding="utf-8"),
+                           parse_constant=reject)
+        assert row["successes"] == 0
+        assert row["mean_error_m"] is None and row["p90_error_m"] is None
+
     def test_missing_config_is_an_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
         captured = capsys.readouterr()
@@ -496,10 +517,19 @@ class TestMain:
         ({}, "inf,1.0", "finite"),
         # A field over the csv module's size limit of 131072 characters.
         ({}, "2e12," + "0" * 131073, "k.csv:3: field larger than"),
+        # A blank row is skipped, but counted in the line numbers.
+        ({}, "\n2e12,x", "k.csv:4: non-numeric value"),
+        ({}, "2e12,0.5,0", "k.csv:3: expected 2 columns, got 3"),
+        ({"transmit_power_dbm": math.inf}, None, "transmit_power_dbm"),
+        ({"mobility_resample": 1}, None, "'mobility_resample' must be a bool"),
+        ({"absorption_table_path": 5}, None,
+         "'absorption_table_path' must be a string"),
     ], ids=["voltage_tiny", "voltage_huge", "charge_tiny", "charge_inverse",
             "cycle_tiny", "packet_huge", "packet_long", "iterations_huge",
             "grid_huge", "frequency_tiny", "spacing_huge", "table_nan",
-            "table_inf", "table_field_huge"])
+            "table_inf", "table_field_huge", "table_blank_row",
+            "table_three_columns", "transmit_inf", "resample_not_bool",
+            "table_path_not_string"])
     def test_unusable_value_is_an_error(self, tmp_path, capsys, extra,
                                         table_row, named):
         if table_row is not None:
@@ -562,10 +592,17 @@ class TestMain:
         assert captured.err.startswith(f"error: {sweep}: sweep value ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("kind", ["config", "sweep"])
-    def test_deeply_nested_json_is_an_error(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, text, message", [
+        ("config", "[" * 200_000 + "]" * 200_000, "invalid JSON: "),
+        ("sweep", "[" * 200_000 + "]" * 200_000, "invalid JSON: "),
+        # Valid JSON that is not an object.
+        ("config", "[]", "config must be a JSON object"),
+        ("sweep", "[1e12]", "sweep must be a JSON object"),
+    ], ids=["config", "sweep", "config_array", "sweep_array"])
+    def test_deeply_nested_json_is_an_error(self, tmp_path, capsys, kind,
+                                            text, message):
         deep = tmp_path / "deep.json"
-        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        deep.write_text(text, encoding="utf-8")
         files = {"config": self.config_path(tmp_path),
                  "sweep": write_json(tmp_path / "sweep.json", {
                      "parameter": "bandwidth_hz", "values": [1e12]})}
@@ -574,7 +611,7 @@ class TestMain:
                      "--sweep", str(files["sweep"])])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith(f"error: {deep}: invalid JSON: ")
+        assert captured.err.startswith(f"error: {deep}: {message}")
         assert captured.out == ""
 
     @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])

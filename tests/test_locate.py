@@ -127,6 +127,21 @@ class TestDegenerateGeometry:
             ]))
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("function, args, message", [
+        (AnchorSet, (CORNERS.positions[:3],), r"shape \(4, 3\)"),
+        (AnchorSet, (CORNERS.positions + [0.0, 0.0, math.inf],), "finite"),
+        (trilaterate, (CORNERS, [L, L, L]), "exactly 4 values"),
+        (trilaterate, (CORNERS, [L, L, L, math.nan]), "finite"),
+        (localization_error, ([0.0, 0.0], [0.0, 0.0, 0.0]), "3D points"),
+        (trilaterate_batch, (CORNERS, np.full((2, 3), L)), r"shape \(m, 4\)"),
+    ], ids=["anchor_shape", "anchor_inf", "range_count", "range_nan",
+            "error_shape", "batch_shape"])
+    def test_rejected(self, function, args, message):
+        with pytest.raises(ValueError, match=message):
+            function(*args)
+
+
 class TestNoisyInput:
     def test_negative_distances_are_clamped(self):
         point = np.array([1e-4, 1e-4, 0.0])

@@ -8,6 +8,7 @@ ranging round (the engine's round lives in ranging.measure_batch).
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,9 +496,6 @@ class TestDeferredLocalization:
         assert np.array_equal(report.error_samples_m, expected)
 
     def test_chunks_hold_the_row_cap(self, monkeypatch):
-        config = SimConfig(grid_rows=_OVER_CHUNK_SIDE,
-                           grid_cols=_OVER_CHUNK_SIDE, iterations=3,
-                           rng_seed=13)
         calls = []
 
         def recording(anchors, distances):
@@ -505,10 +503,61 @@ class TestDeferredLocalization:
             return trilaterate_batch(anchors, distances)
 
         monkeypatch.setattr(sim, "trilaterate_batch", recording)
-        report = run_simulation(config)
-        assert min(report.per_iteration_successes) > _LOCATE_CHUNK_ROWS
-        full, last = divmod(report.successes, _LOCATE_CHUNK_ROWS)
-        assert calls == [_LOCATE_CHUNK_ROWS] * full + ([last] if last else [])
+        # Every period alone reaches the cap: calls of 8277, 8277 and 8277
+        # rows.  Then 140 rows a period, so the backlog reaches the cap in
+        # its 59th period: calls of 8260, 8260 and 280 rows.
+        for overrides in (dict(grid_rows=_OVER_CHUNK_SIDE,
+                               grid_cols=_OVER_CHUNK_SIDE, iterations=3),
+                          dict(grid_rows=12, grid_cols=12, iterations=120,
+                               mobility_resample=True)):
+            config = SimConfig(rng_seed=13, **overrides)
+            calls.clear()
+            report = run_simulation(config)
+            # Every node localizes every period, so the backlog grows by n
+            # rows a period and is solved whole once it holds the cap's.
+            n = config.grid_rows * config.grid_cols - 4
+            assert report.successes == report.attempts
+            periods = -(-_LOCATE_CHUNK_ROWS // n)
+            full, last = divmod(config.iterations, periods)
+            assert calls == [periods * n] * full + ([last * n] if last else [])
+            assert all(_LOCATE_CHUNK_ROWS <= rows < _LOCATE_CHUNK_ROWS + n
+                       for rows in calls[:-1])
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
+    def test_peak_heap_per_node(self, mobile):
+        # 9996 nodes that all localize, so every period's backlog reaches
+        # the solve cap.  Less the error slots (8 B per attempt), the peak is
+        # a solve or a mobile placement.  Per node, both hold the placement's
+        # positions, ranges and link verdicts (24 + 32 + 5 B), energy and
+        # flags (9) and the last period's outcome (1 + 1 + 32).  A solve adds
+        # the backlog's ranges and true positions (32 + 24) and estimates
+        # (24), 184 B, with the solver's window (about 1.1 MB, 113 B per node
+        # here).  A placement adds the start-state key (9), the new
+        # positions and anchor offsets (24 + 96) and two (n, 4) arrays of
+        # the distance norm (64), 298 B.  Joining the backlog's true
+        # positions before the solve, or keeping a second copy of its
+        # ranges, adds 24 B per node or more.
+        config = SimConfig(grid_rows=100, grid_cols=100, iterations=4,
+                           mobility_resample=mobile)
+        # A process's first run imports modules (about 0.8 MB) that later
+        # runs reuse.
+        run_simulation(small_config(mobility_resample=mobile))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert report.successes == report.attempts
+        n = config.grid_rows * config.grid_cols - 4
+        assert (peak - 8 * report.attempts) / n < 310
 
 
 class TestPacketBitBlocks:
@@ -631,3 +680,8 @@ class TestNearestRankPercentile:
 
     def test_empty(self):
         assert np.isnan(nearest_rank_percentile(np.array([]), 90.0))
+
+    @pytest.mark.parametrize("q", [0.0, -10.0, 100.5, math.nan])
+    def test_q_outside_range_rejected(self, q):
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 100\]"):
+            nearest_rank_percentile(np.arange(1.0, 11.0), q)
