@@ -28,13 +28,10 @@ import numpy as np
 _CYCLE_COUNT_EPS = 1e-9
 
 # Relative slack for snapping a cycle position to a whole cycle.  Float
-# roundoff in the closed-form inverse reaches ~1e-6 cycles near n = 1e4;
-# the snap keeps cycle_index an exact inverse of energy_at_cycle there.
+# roundoff in the closed-form inverse reaches ~1e-6 cycles near n = 1e4; the
+# snap maps a node on the harvest lattice, energy_at_cycle(k), back to k, so
+# harvesting resumes from its own cycle instead of from k + 1.
 _INDEX_SNAP_REL = 1e-9
-
-
-class EnergySaturationError(ValueError):
-    """Cycle index requested at or above full storage, where it diverges."""
 
 
 @dataclass(frozen=True)
@@ -117,17 +114,6 @@ def _cycle_positions(energy_pj: np.ndarray,
     nearest = np.rint(x)
     snap = np.abs(x - nearest) <= _INDEX_SNAP_REL * np.maximum(1.0, np.abs(x))
     return np.where(snap, nearest, np.ceil(x))
-
-
-def cycle_index(energy_pj: float, params: HarvesterParams) -> int:
-    """Harvesting cycle corresponding to a stored energy level (the
-    inverse of energy_at_cycle, see _cycle_positions)."""
-    if energy_pj < 0:
-        raise ValueError("energy_pj must be non-negative")
-    if energy_pj >= params.max_storage_pj:
-        raise EnergySaturationError(
-            "cycle index diverges at or above max_storage_pj")
-    return int(_cycle_positions(np.float64(energy_pj), params))
 
 
 def energy_at_cycle(n_cycle: int | np.ndarray,

@@ -107,18 +107,6 @@ def trilaterate(anchors: AnchorSet, distances_m: Sequence[float] | np.ndarray
     return trilaterate_batch(anchors, d[None, :])[0]
 
 
-def localization_error(true_position_m: Sequence[float] | np.ndarray,
-                       estimate: Sequence[float] | np.ndarray) -> float:
-    """Euclidean distance between the true and estimated positions."""
-    true_pos = np.asarray(true_position_m, dtype=np.float64)
-    estimated = np.asarray(estimate, dtype=np.float64)
-    if true_pos.shape != (3,) or estimated.shape != (3,):
-        raise ValueError("positions must be 3D points")
-    if not (np.all(np.isfinite(true_pos)) and np.all(np.isfinite(estimated))):
-        raise ValueError("positions must be finite")
-    return float(norm(true_pos - estimated))
-
-
 def trilaterate_batch(anchors: AnchorSet, distances_m: np.ndarray,
                       refine: bool = True) -> np.ndarray:
     """Solve many independent 4-range problems against one anchor set.

@@ -63,12 +63,12 @@ _DRAW_FREE_CAP = 32
 
 # Nodes one run may place.  Less its error samples, a run peaks at a solve
 # or a mobile placement: the placement's positions, ranges and link verdicts
-# (61 B per node), energy, flags and the last period's outcome (43 B), then
-# the backlog's ranges, true positions and estimates (80 B) with the solver's
-# window (about 1.1 MB), or a new placement (about 190 B while placing).  Up
-# to _DRAW_FREE_CAP memoized draw-free periods add about 20 B each.  That is
-# 250-300 B per node on 100 x 100 and 200 x 200 grids (tracemalloc,
-# TestRunMemory in tests/test_sim.py); 2**18 nodes stay under 300 MB.
+# (61 B per node) with energy and flags (9 B), then the backlog's ranges, true
+# positions and estimates (80 B) with the solver's window (about 1.1 MB), or
+# the start-state key and a new placement (193 B).  Static runs alone memoize:
+# up to _DRAW_FREE_CAP draw-free periods add about 20 B each.  Per node, that
+# is 215-265 B on 100 x 100 and 200 x 200 grids (tracemalloc, TestRunMemory
+# in tests/test_sim.py); 2**18 nodes stay under 210 MB, a full memo included.
 _MAX_NODES = 2 ** 18
 
 # Localization attempts (nodes x iterations) one run may make; the error
@@ -370,6 +370,7 @@ def run_simulation(config: SimConfig) -> TrialReport:
             # Boolean indexing copies: a later placement cannot move it.
             truth.append(world.topology.node_true_positions[result.success])
             pending += count
+        del result      # its ranges die with the backlog, at the solve
         last = t == config.iterations - 1
         if pending >= _LOCATE_CHUNK_ROWS or (last and pending):
             rows, measured = np.concatenate(measured), []

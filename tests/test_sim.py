@@ -530,15 +530,15 @@ class TestRunMemory:
         # 9996 nodes that all localize, so every period's backlog reaches
         # the solve cap.  Less the error slots (8 B per attempt), the peak is
         # a solve or a mobile placement.  Per node, both hold the placement's
-        # positions, ranges and link verdicts (24 + 32 + 5 B), energy and
-        # flags (9) and the last period's outcome (1 + 1 + 32).  A solve adds
-        # the backlog's ranges and true positions (32 + 24) and estimates
-        # (24), 184 B, with the solver's window (about 1.1 MB, 113 B per node
-        # here).  A placement adds the start-state key (9), the new
-        # positions and anchor offsets (24 + 96) and two (n, 4) arrays of
-        # the distance norm (64), 298 B.  Joining the backlog's true
-        # positions before the solve, or keeping a second copy of its
-        # ranges, adds 24 B per node or more.
+        # positions, ranges and link verdicts (24 + 32 + 5 B) and energy and
+        # flags (9).  A solve adds the backlog's ranges and true positions
+        # (32 + 24) and estimates (24), 150 B, with the solver's window
+        # (about 1.1 MB, 113 B per node here).  A placement adds the
+        # start-state key (9), the new positions and anchor offsets
+        # (24 + 96) and two (n, 4) arrays of the distance norm (64), 263 B.
+        # Holding the last period's outcome (1 + 1 + 32), joining the
+        # backlog's true positions before the solve, or keeping a second
+        # copy of its ranges adds 24 B per node or more.
         config = SimConfig(grid_rows=100, grid_cols=100, iterations=4,
                            mobility_resample=mobile)
         # A process's first run imports modules (about 0.8 MB) that later
@@ -557,7 +557,7 @@ class TestRunMemory:
                 tracemalloc.stop()
         assert report.successes == report.attempts
         n = config.grid_rows * config.grid_cols - 4
-        assert (peak - 8 * report.attempts) / n < 310
+        assert (peak - 8 * report.attempts) / n < 275
 
 
 class TestPacketBitBlocks:
