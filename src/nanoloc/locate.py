@@ -11,11 +11,12 @@ the full nonlinear range residuals, the rows streaming through a window of
 at most _GN_WINDOW_ROWS rows, each row with its own pass count.
 
 The refinement keeps x, y and z apart as (k, 4) anchor-offset blocks.  Every
-length in the package is _norm3's (dx*dx + dy*dy) + dz*dz (norm() is its
-vector form): add.reduce's left-to-right order over an axis shorter than 8,
-so it keeps the bits of numpy's norm over the last axis.  J^T and J are
-separate C-ordered stacks: J^T @ J on one buffer runs as BLAS syrk per 3x3
-product, on two as faster gemm.
+length in the package is _norm3's (dx*dx + dy*dy) + dz*dz, written nowhere
+else (norm() is its vector form; the range kernel calls it in place): the
+left-to-right order of add.reduce over an axis shorter than 8, so it keeps
+the bits of numpy's norm over the last axis.  J^T and J are separate
+C-ordered stacks: J^T @ J on one buffer runs as BLAS syrk per 3x3 product,
+on two as faster gemm.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ _COPLANAR_REL_TOL = 1e-9
 
 _GN_MAX_ITERATIONS = 20
 _GN_STEP_TOL_M = 1e-9
-_GN_MAX_BACKTRACKS = 8
 # Added to the diagonal of each J^T J.
 _GN_DAMPING = 1e-9
 # Rows one refinement pass solves at most; bounds the solver's memory.
 _GN_WINDOW_ROWS = 2048
 # Step scales tried after the full step: 1/2 ... 1/128.  Exact powers of
 # two, so each equals the repeatedly halved scale bit for bit.
-_GN_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, _GN_MAX_BACKTRACKS))
+_GN_HALVED_SCALES = np.ldexp(1.0, -np.arange(1, 8))
 
 
 class DegenerateGeometryError(ValueError):
@@ -163,10 +163,14 @@ def norm(v: np.ndarray) -> np.ndarray:
     return _norm3(v[..., 0], v[..., 1], v[..., 2])
 
 
-def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Length of vectors given as components, summed in the order of
-    numpy's norm over the last axis (add.reduce's, left to right)."""
-    return np.sqrt((x * x + y * y) + z * z)
+def _norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Length of vectors given as components (into out if given), summed in
+    numpy's norm order over the last axis: add.reduce's, left to right."""
+    squares = np.multiply(x, x, out=out)
+    squares += y * y
+    squares += z * z
+    return np.sqrt(squares, out=out)
 
 
 def _anchor_ranges(p: np.ndarray, anchor_cols: np.ndarray,
@@ -175,13 +179,7 @@ def _anchor_ranges(p: np.ndarray, anchor_cols: np.ndarray,
     anchor column at a time, and their lengths (k, 4) in _norm3's order."""
     for j in range(4):
         np.subtract(p, anchor_cols[j], out=offsets[:, :, j])
-    x, y, z = offsets
-    np.multiply(x, x, out=ranges)
-    square = y * y
-    ranges += square
-    np.multiply(z, z, out=square)
-    ranges += square
-    np.sqrt(ranges, out=ranges)
+    _norm3(*offsets, out=ranges)
 
 
 def _sum_of_squares(r: np.ndarray) -> np.ndarray:
@@ -235,12 +233,14 @@ def _gauss_newton_pass(anchors: AnchorSet, x: np.ndarray, t: np.ndarray,
     accepted = _sum_of_squares(r) < cost
     rejected = np.flatnonzero(~accepted)
     if rejected.size:
+        # The r rejected rows' seven halved trials as one (3, r * 7) block.
         halved = (x[:, rejected, None]
                   - _GN_HALVED_SCALES * solved[:, rejected, None])
-        halved_res = (_norm3(*(halved[:, :, :, None]
-                               - anchors.positions.T[:, None, None, :]))
-                      - dk[rejected, None, :])
-        lower = _sum_of_squares(halved_res) < cost[rejected, None]
+        res = np.empty((rejected.size, _GN_HALVED_SCALES.size, 4))
+        _anchor_ranges(halved.reshape(3, -1), anchor_cols,
+                       np.empty((3, halved[0].size, 4)), res.reshape(-1, 4))
+        res -= dk[rejected, None, :]
+        lower = _sum_of_squares(res) < cost[rejected, None]
         found = lower.any(axis=1)
         first = halved[:, np.arange(rejected.size), lower.argmax(axis=1)]
         t[:, rejected] = np.where(found, first, x[:, rejected])

@@ -242,12 +242,14 @@ def tiny_config(**overrides):
 
 class TestRunSweep:
     def test_rows_ordered_and_complete(self):
-        sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), (0, 1))
-        rows = run_sweep(tiny_config(), sweep)
-        assert [(r.parameter_value, r.seed) for r in rows] == [
-            (1e11, 0), (1e11, 1), (1e12, 0), (1e12, 1)]
-        assert all(r.parameter_name == "bandwidth_hz" for r in rows)
-        assert all(r.attempts == 16 * 25 for r in rows)
+        # Rows come back sorted by (value, seed), whatever the seed order.
+        for seeds in ((0, 1), (1, 0)):
+            sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), seeds)
+            rows = run_sweep(tiny_config(), sweep)
+            assert [(r.parameter_value, r.seed) for r in rows] == [
+                (1e11, 0), (1e11, 1), (1e12, 0), (1e12, 1)]
+            assert all(r.parameter_name == "bandwidth_hz" for r in rows)
+            assert all(r.attempts == 16 * 25 for r in rows)
 
     def test_mean_error_decreases_with_bandwidth(self):
         sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), (0, 1, 2))

@@ -343,9 +343,14 @@ class TestNumpyOrder:
         rng = np.random.default_rng(31)
         v = rng.standard_normal((100_000, 3)) * 10.0 ** rng.uniform(-6, 2, (100_000, 3))
         x, y, z = v.T
-        assert np.array_equal(_norm3(x, y, z), np.linalg.norm(v, axis=-1)), (
+        expected = np.linalg.norm(v, axis=-1)
+        assert np.array_equal(_norm3(x, y, z), expected), (
             "numpy's add.reduce no longer sums a length-3 axis left to right: "
             "locate._norm3 must change its order to keep np.linalg.norm's bits")
+        # The in-place path the range kernel takes.
+        buffer = np.empty(len(v))
+        assert _norm3(x, y, z, out=buffer) is buffer
+        assert np.array_equal(buffer, expected)
 
     def test_contiguous_transpose_product_equals_swapaxes_view(self):
         rng = np.random.default_rng(32)
