@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from nanoloc.channel import load_absorption_table
-from nanoloc.sim import SimConfig, TrialReport, run_simulation
+from nanoloc.sim import (POINT_FIELDS, PointError, SimConfig, TrialReport,
+                         max_batch, run_simulation, run_simulations)
 
 SWEEPABLE_PARAMETERS = ("frequency_hz", "charge_per_cycle_pc",
                         "update_period_s", "bandwidth_hz", "spacing_m",
@@ -252,37 +253,77 @@ def sweep_point_seed(master_seed: int | tuple[int, ...], parameter_index: int,
     return master + (parameter_index, seed)
 
 
-def _run_point(config: SimConfig, name: str, value: float,
-               seed: int) -> ResultRow:
-    """Run one prepared sweep point; module level, so a worker process
-    can run it under any start method."""
+# A prepared sweep point: (config, parameter name, value, seed).
+Point = tuple[SimConfig, str, float, int]
+
+
+def _run_batch(batch: Sequence[Point]) -> list[ResultRow]:
+    """Run one batch of prepared sweep points in lockstep
+    (sim.run_simulations); module level, so a worker process can run it
+    under any start method.  A failure names its point, or the batch's
+    first and last points when no one point owns it."""
     try:
-        report = run_simulation(config)
+        reports = run_simulations([config for config, *_ in batch])
     except Exception as exc:
+        if isinstance(exc, PointError):
+            failed = [batch[exc.point]]
+        else:
+            failed = [batch[0], batch[-1]] if len(batch) > 1 else [batch[0]]
+        where = " to ".join(f"{name}={value!r} seed={seed}"
+                            for _, name, value, seed in failed)
         raise ConfigurationError(
-            f"sweep point {name}={value!r} seed={seed} failed: {exc}") from exc
-    return ResultRow.from_report(name, value, seed, report)
+            f"sweep point{'s' if len(failed) > 1 else ''} {where} failed: "
+            f"{exc}") from exc
+    return [ResultRow.from_report(name, value, seed, report)
+            for (_, name, value, seed), report in zip(batch, reports)]
+
+
+def _batches(points: Sequence[Point], sweep: SweepSpec,
+             most: int) -> list[list[Point]]:
+    """The sweep's points cut into consecutive compatible batches of at
+    most `most` points (see run_sweep)."""
+    key = _SWEEP_ALIASES.get(sweep.parameter_name, sweep.parameter_name)
+    per_group = (len(points) if _SECTION_OF.get(key, key) in POINT_FIELDS
+                 else len(sweep.seeds))
+    batches = []
+    for start in range(0, len(points), per_group):
+        group = points[start:start + per_group]
+        size = min(most, max_batch(group[0][0]))
+        batches += [list(group[i:i + size])
+                    for i in range(0, len(group), size)]
+    return batches
 
 
 def run_sweep(config: SimConfig, sweep: SweepSpec) -> list[ResultRow]:
     """Run the simulation at every (value, seed) pair of the sweep.
 
-    Points run in a pool of min(workers, points, cores) processes, or in
-    this process when that is 1.  Every point derives its own seed, so the
-    rows do not depend on the pool size; they come back sorted by
-    (value, seed).
+    The points run in batches, each one sim.run_simulations call that
+    advances its points in lockstep: one vectorized period and one
+    trilateration backlog for all of them.  A batch holds consecutive
+    points that differ only in sim.POINT_FIELDS (rng_seed and channel),
+    so a frequency, bandwidth or sensitivity sweep is one batch and any
+    other sweep one batch per value.  A batch is cut where its summed
+    nodes or attempts would pass sim's _MAX_NODES or _MAX_ATTEMPTS
+    (sim.max_batch).  Batches run in a pool of min(workers, points, cores)
+    processes, or in this process when that is 1; with a pool, a batch
+    holds at most ceil(points / pool size) points, so every process gets
+    work.  Every point derives its own seed and its report does not depend
+    on its batch, so the rows depend on neither the batches nor the pool
+    size; they come back sorted by (value, seed).
     """
-    tasks = []
+    points = []
     for index, value in enumerate(sweep.values):
         for seed in sweep.seeds:
             point = apply_swept_parameter(config, sweep.parameter_name, value)
             point = dataclasses.replace(
                 point, rng_seed=sweep_point_seed(config.rng_seed, index, seed))
-            tasks.append((point, sweep.parameter_name, value, seed))
+            points.append((point, sweep.parameter_name, value, seed))
 
-    size = min(config.workers, len(tasks), os.cpu_count() or 1)
+    size = min(config.workers, len(points), os.cpu_count() or 1)
+    batches = _batches(points, sweep,
+                       len(points) if size == 1 else -(-len(points) // size))
     if size == 1:
-        rows = [_run_point(*task) for task in tasks]
+        results = [_run_batch(batch) for batch in batches]
     else:
         # Imported here: the pool modules would add to every start-up.
         # Spawned, not forked: a fork copies the parent's BLAS threads'
@@ -293,7 +334,8 @@ def run_sweep(config: SimConfig, sweep: SweepSpec) -> list[ResultRow]:
         with ProcessPoolExecutor(
                 max_workers=size,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(_run_point, *zip(*tasks)))
+            results = list(pool.map(_run_batch, batches))
+    rows = [row for batch in results for row in batch]
     rows.sort(key=lambda row: (row.parameter_value, row.seed))
     return rows
 

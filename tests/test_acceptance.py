@@ -2,7 +2,9 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them) and then asserts.  Full-scale runs (621 static nodes x 1000
-iterations) are cached per config and shared between criteria.
+iterations) are cached per config and shared between criteria; a
+criterion runs the configs the cache lacks as sim.run_simulations
+batches, one per group of configs that differ only in seed and channel.
 """
 
 from types import SimpleNamespace
@@ -14,7 +16,7 @@ from nanoloc.channel import raw_resolution, received_power
 from nanoloc.cli import apply_swept_parameter, main
 from nanoloc.energy import HarvesterParams, _cycle_positions, energy_at_cycle
 from nanoloc.locate import AnchorSet, norm, trilaterate
-from nanoloc.sim import SimConfig, build_topology, run_simulation
+from nanoloc.sim import SimConfig, build_topology, run_simulations
 
 pytestmark = pytest.mark.acceptance
 
@@ -24,19 +26,33 @@ def run_cache():
     return {}
 
 
-def full_run(cache, seed, **overrides):
-    # Keyed on the frozen config, which compares by value, so overrides
-    # that leave the shipped defaults unchanged share their run.  Only the
-    # fields the criteria read are kept, not each run's error samples.
+def point(seed, **overrides):
+    """The defaults at seed with each override swept in."""
     config = SimConfig(rng_seed=seed)
     for name, value in overrides.items():
         config = apply_swept_parameter(config, name, value)
-    if config not in cache:
-        report = run_simulation(config)
-        cache[config] = SimpleNamespace(
-            mean_error_m=report.mean_error_m, p90_error_m=report.p90_error_m,
-            availability=report.availability)
-    return cache[config]
+    return config
+
+
+def fill(cache, configs):
+    """Run the configs the cache lacks as one sim.run_simulations batch.
+
+    Keyed on the frozen config, which compares by value, so overrides that
+    leave the shipped defaults unchanged share their run.  Only the fields
+    the criteria read are kept, not each run's error samples.
+    """
+    missing = [c for c in dict.fromkeys(configs) if c not in cache]
+    if missing:
+        for config, report in zip(missing, run_simulations(missing)):
+            cache[config] = SimpleNamespace(
+                mean_error_m=report.mean_error_m,
+                p90_error_m=report.p90_error_m,
+                availability=report.availability)
+
+
+def full_run(cache, seed, **overrides):
+    """The cached run of one point; a criterion fills the cache first."""
+    return cache[point(seed, **overrides)]
 
 
 def averaged(cache, seeds, metric, **overrides):
@@ -53,6 +69,7 @@ SEEDS_3 = (0, 1, 2)
 
 
 def test_criterion_01_default_reproduction(run_cache):
+    fill(run_cache, [point(s) for s in SEEDS_5])
     mean = averaged(run_cache, SEEDS_5, "mean_error_m")
     p90 = averaged(run_cache, SEEDS_5, "p90_error_m")
     avail = averaged(run_cache, SEEDS_5, "availability")
@@ -69,6 +86,8 @@ def test_criterion_01_default_reproduction(run_cache):
 
 
 def test_criterion_02_bandwidth_sweep(run_cache):
+    fill(run_cache, [point(s, bandwidth_hz=bw)
+                     for bw in (1e11, 2e11, 5e11, 1e12) for s in SEEDS_3])
     means = {bw: averaged(run_cache, SEEDS_3, "mean_error_m", bandwidth_hz=bw)
              for bw in (1e11, 2e11, 5e11, 1e12)}
     ok_low = 2.5e-3 <= means[1e11] <= 5.5e-3
@@ -86,6 +105,8 @@ def test_criterion_02_bandwidth_sweep(run_cache):
 
 def test_criterion_03_update_period_sweep(run_cache):
     periods = (0.02, 0.06, 0.10, 0.14, 0.18, 0.22)
+    for p in periods:
+        fill(run_cache, [point(s, update_period_s=p) for s in SEEDS_3])
     avail = {p: averaged(run_cache, SEEDS_3, "availability", update_period_s=p)
              for p in periods}
     ok_low = 0.70 <= avail[0.02] <= 0.90
@@ -104,6 +125,8 @@ def test_criterion_03_update_period_sweep(run_cache):
 
 def test_criterion_04_harvesting_rate_sweep(run_cache):
     charges = (2.0, 4.0, 6.0, 8.0, 10.0)
+    for q in charges:
+        fill(run_cache, [point(s, charge_per_cycle_pc=q) for s in SEEDS_3])
     avail = {q: averaged(run_cache, SEEDS_3, "availability",
                          charge_per_cycle_pc=q)
              for q in charges}
@@ -136,6 +159,7 @@ def test_criterion_05_frequency_insensitivity(run_cache):
     # node: frequency must change nothing beyond which nodes the budget
     # reaches.
     freqs = (1e12, 2e12, 5e12, 1e13)
+    fill(run_cache, [point(s, frequency_hz=f) for f in freqs for s in SEEDS_3])
     means = [averaged(run_cache, SEEDS_3, "mean_error_m", frequency_hz=f)
              for f in freqs]
     raw = [averaged(run_cache, SEEDS_3, "availability", frequency_hz=f)
@@ -162,6 +186,11 @@ def test_criterion_05_frequency_insensitivity(run_cache):
 
 
 def test_criterion_06_sensitivity_cliff(run_cache):
+    # Two spacings, two sets of anchors: one batch each.
+    fill(run_cache, [point(s, spacing_m=3e-3, sensitivity_dbm=v)
+                     for v in (-100.0, -90.0) for s in SEEDS_3])
+    fill(run_cache, [point(s, sensitivity_dbm=v)
+                     for v in (-110.0, -100.0, -95.0) for s in SEEDS_3])
     coarse = {s: averaged(run_cache, SEEDS_3, "availability",
                           spacing_m=3e-3, sensitivity_dbm=s)
               for s in (-100.0, -90.0)}

@@ -315,14 +315,118 @@ class TestRunSweep:
         assert rows == run_sweep(tiny_config(), sweep)
 
     def test_failed_point_is_named(self, monkeypatch):
-        def fail(config):
+        def fail(configs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, "run_simulation", fail)
+        monkeypatch.setattr(cli, "run_simulations", fail)
         sweep = SweepSpec("spacing_m", (1e-3,), (4,))
         with pytest.raises(ConfigurationError, match=(
                 r"sweep point spacing_m=0\.001 seed=4 failed: boom")):
             run_sweep(tiny_config(), sweep)
+        # A failure no one point owns names the batch's first and last.
+        sweep = SweepSpec("bandwidth_hz", (1e11, 1e12), (0, 1))
+        with pytest.raises(ConfigurationError, match=(
+                r"sweep points bandwidth_hz=100000000000\.0 seed=0 to "
+                r"bandwidth_hz=1000000000000\.0 seed=1 failed: boom")):
+            run_sweep(tiny_config(), sweep)
+
+    def test_non_finite_point_is_named(self):
+        # One batch of four points; only the 1e-300 Hz points' c/B noise
+        # overflows, and the failure names the first of them.
+        sweep = SweepSpec("bandwidth_hz", (1e-300, 1e12), (5, 6))
+        with np.errstate(all="ignore"), pytest.raises(
+                ConfigurationError, match=(
+                    r"sweep point bandwidth_hz=1e-300 seed=5 failed: "
+                    r"non-finite localization error")):
+            run_sweep(tiny_config(), sweep)
+
+
+def record_batches(monkeypatch) -> list:
+    """Patch cli.run_simulations to log each batch's (value, seed) points
+    from their configs, then run it."""
+    batches = []
+
+    def recording(configs):
+        batches.append([config.rng_seed[-2:] for config in configs])
+        return sim.run_simulations(configs)
+
+    monkeypatch.setattr(cli, "run_simulations", recording)
+    return batches
+
+
+class TestSweepBatches:
+    """A sweep runs its points in consecutive lockstep batches: a channel
+    parameter's whole sweep, any other parameter's points one value at a
+    time, within the caps and, with a pool, ceil(points / pool size)."""
+
+    VALUES = {"frequency_hz": (1e12, 2e12), "charge_per_cycle_pc": (4.0, 6.0),
+              "update_period_s": (0.1, 0.2), "bandwidth_hz": (1e11, 1e12),
+              "spacing_m": (0.9e-3, 1e-3), "sensitivity_dbm": (-100.0, -90.0)}
+
+    @pytest.mark.parametrize("name", SWEEPABLE_PARAMETERS)
+    def test_batch_shapes(self, monkeypatch, name):
+        batches = record_batches(monkeypatch)
+        sweep = SweepSpec(name, self.VALUES[name], (0, 1, 2))
+        rows = run_sweep(tiny_config(), sweep)
+        points = [(index, seed) for index in (0, 1) for seed in (0, 1, 2)]
+        if name in ("frequency_hz", "bandwidth_hz", "sensitivity_dbm"):
+            assert batches == [points]
+        else:
+            assert batches == [points[:3], points[3:]]
+        # Each row is its point's own run.
+        for row, (index, seed) in zip(rows, points):
+            config = dataclasses.replace(
+                apply_swept_parameter(tiny_config(), name, row.parameter_value),
+                rng_seed=sweep_point_seed(tiny_config().rng_seed, index, seed))
+            assert row == ResultRow.from_report(name, row.parameter_value,
+                                                seed, run_simulation(config))
+
+    @pytest.mark.parametrize("cap, most", [("_MAX_NODES", 2 * 16 + 15),
+                                           ("_MAX_ATTEMPTS", 2 * 400 + 399)])
+    def test_caps_split_a_batch(self, monkeypatch, cap, most):
+        # 16 nodes x 25 iterations a point: either cap holds two points.
+        rows = run_sweep(tiny_config(),
+                         SweepSpec("bandwidth_hz", (1e11, 1e12), (0, 1, 2)))
+        batches = record_batches(monkeypatch)
+        monkeypatch.setattr(sim, cap, most)
+        assert run_sweep(tiny_config(), SweepSpec(
+            "bandwidth_hz", (1e11, 1e12), (0, 1, 2))) == rows
+        assert [len(batch) for batch in batches] == [2, 2, 2]
+        batches.clear()
+        run_sweep(tiny_config(), SweepSpec("spacing_m", (0.9e-3, 1e-3),
+                                           (0, 1, 2)))
+        assert [len(batch) for batch in batches] == [2, 1, 2, 1]
+
+    @pytest.mark.parametrize("name, workers, expected", [
+        ("bandwidth_hz", 2, [3, 3]),
+        ("bandwidth_hz", 4, [2, 2, 2]),
+        ("spacing_m", 2, [3, 3]),
+        ("spacing_m", 4, [2, 1, 2, 1]),
+    ])
+    def test_pool_cuts_batches(self, monkeypatch, name, workers, expected):
+        batches = record_batches(monkeypatch)
+
+        class InProcessExecutor:
+            """Runs the tasks in this process, so no process is started."""
+
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_sweep(tiny_config(workers=workers),
+                  SweepSpec(name, self.VALUES[name], (0, 1, 2)))
+        assert [len(batch) for batch in batches] == expected
 
 
 class TestEmitResults:

@@ -21,8 +21,9 @@ from nanoloc.locate import norm, trilaterate, trilaterate_batch
 from nanoloc.sim import (_DRAW_FREE_CAP, _LOCATE_CHUNK_ROWS,
                          CODE_LINK_INFEASIBLE, CODE_NODE_DEPLETED, SUCCESS,
                          SimConfig, WorldState, build_topology, initial_world,
-                         nearest_rank_percentile, run_iteration,
-                         run_simulation, substream)
+                         PointError, max_batch, nearest_rank_percentile,
+                         run_iteration, run_simulation, run_simulations,
+                         substream)
 
 
 def small_config(**overrides):
@@ -525,8 +526,10 @@ class TestDeferredLocalization:
 
 
 class TestRunMemory:
-    @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
-    def test_peak_heap_per_node(self, mobile):
+    @pytest.mark.parametrize("mobile, side, points", [
+        (False, 100, 1), (True, 100, 1), (False, 50, 4), (True, 50, 4)],
+        ids=["static", "mobile", "batch_static", "batch_mobile"])
+    def test_peak_heap_per_node(self, mobile, side, points):
         # 9996 nodes that all localize, so every period's backlog reaches
         # the solve cap.  Less the error slots (8 B per attempt), the peak is
         # a solve or a mobile placement.  Per node, both hold the placement's
@@ -538,9 +541,11 @@ class TestRunMemory:
         # (24 + 96) and two (n, 4) arrays of the distance norm (64), 263 B.
         # Holding the last period's outcome (1 + 1 + 32), joining the
         # backlog's true positions before the solve, or keeping a second
-        # copy of its ranges adds 24 B per node or more.
-        config = SimConfig(grid_rows=100, grid_cols=100, iterations=4,
-                           mobility_resample=mobile)
+        # copy of its ranges adds 24 B per node or more.  A batch of four
+        # 50 x 50 grids (9984 nodes) counts per node of the batch.
+        configs = [SimConfig(grid_rows=side, grid_cols=side, iterations=4,
+                             mobility_resample=mobile, rng_seed=seed)
+                   for seed in range(points)]
         # A process's first run imports modules (about 0.8 MB) that later
         # runs reuse.
         run_simulation(small_config(mobility_resample=mobile))
@@ -550,14 +555,109 @@ class TestRunMemory:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            report = run_simulation(config)
+            reports = run_simulations(configs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        assert report.successes == report.attempts
-        n = config.grid_rows * config.grid_cols - 4
-        assert (peak - 8 * report.attempts) / n < 275
+        assert all(r.successes == r.attempts for r in reports)
+        n = points * configs[0].node_count
+        attempts = sum(r.attempts for r in reports)
+        assert (peak - 8 * attempts) / n < 275
+
+
+def _sweep(config: SimConfig, channel_field: str, values, seeds=(0, 1)):
+    """The points of a channel sweep: one config per (value, seed), each
+    seeded (value index, seed) as cli.run_sweep seeds them."""
+    return [dataclasses.replace(
+        config, rng_seed=(index, seed),
+        channel=dataclasses.replace(config.channel, **{channel_field: value}))
+        for index, value in enumerate(values) for seed in seeds]
+
+
+def _assert_reports_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(sim.TrialReport):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            else:
+                # repr: equal NaNs, and a Python number stays one.
+                assert repr(x) == repr(y), f.name
+
+
+class TestLockstepBatch:
+    """run_simulations advances points that differ only in rng_seed and
+    channel in lockstep; every report is bit for bit its point's own run."""
+
+    def test_mobile_sensitivity_cliff(self):
+        configs = _sweep(SimConfig(grid_rows=10, grid_cols=10, iterations=30,
+                                   mobility_resample=True),
+                         "receiver_sensitivity_dbm",
+                         (-100.0, -80.0, -75.0, -70.0, -65.0))
+        reports = run_simulations(configs)
+        _assert_reports_equal(reports, [run_simulation(c) for c in configs])
+        # The cliff: every link is feasible at -100 dBm, few at -65 dBm.
+        assert reports[0].availability == 1.0
+        assert reports[-1].availability < 0.5
+
+    def test_static_bandwidth_drain_replays(self, monkeypatch):
+        configs = _sweep(small_config(iterations=300, initial_energy_pj=30.0),
+                         "bandwidth_hz", (1e11, 1e12))
+        want = [run_simulation(c) for c in configs]
+        harvests = count_harvests(monkeypatch)
+        reports = run_simulations(configs)
+        _assert_reports_equal(reports, want)
+        assert all(0 < r.successes < r.attempts for r in reports)
+        # The drained batch recurs, and its memo replays.
+        assert len(harvests) < 300
+
+    def test_frequency_sweep(self):
+        # The default 21.6 mm edge: 10 THz reaches about half the nodes.
+        configs = _sweep(SimConfig(grid_rows=10, grid_cols=10, iterations=40,
+                                   spacing_m=2.4e-3),
+                         "frequency_hz", (1e12, 5e12, 1e13))
+        reports = run_simulations(configs)
+        _assert_reports_equal(reports, [run_simulation(c) for c in configs])
+        assert reports[-1].availability < reports[0].availability
+
+    @pytest.mark.parametrize("name, value", [
+        ("grid_rows", 5), ("grid_cols", 5), ("spacing_m", 1e-3),
+        ("update_period_s", 0.2), ("iterations", 21),
+        ("initial_energy_pj", 50.0), ("mobility_resample", True),
+        ("workers", 2),
+        ("harvester", _HARVEST_2PC),
+        ("radio", dataclasses.replace(SimConfig().radio, packet_bits=4)),
+    ])
+    def test_other_fields_must_match(self, name, value):
+        config = small_config()
+        assert getattr(config, name) != value
+        with pytest.raises(ValueError, match=f"not in {name}"):
+            run_simulations([config, dataclasses.replace(config, rng_seed=4,
+                                                         **{name: value})])
+
+    def test_batch_within_caps(self, monkeypatch):
+        config = small_config()       # 12 nodes x 20 iterations
+        monkeypatch.setattr(sim, "_MAX_NODES", 36)
+        assert max_batch(config) == 3
+        run_simulations([config] * 3)
+        with pytest.raises(ValueError, match="summed nodes"):
+            run_simulations([config] * 4)
+        monkeypatch.setattr(sim, "_MAX_ATTEMPTS", 480)
+        assert max_batch(config) == 2
+        with pytest.raises(ValueError, match="summed nodes"):
+            run_simulations([config] * 3)
+        with pytest.raises(ValueError, match="at least one config"):
+            run_simulations([])
+
+    def test_non_finite_error_names_its_point(self):
+        configs = _sweep(small_config(grid_rows=3, grid_cols=3, iterations=2),
+                         "bandwidth_hz", (1e12, 1e-300), seeds=(0,))
+        with np.errstate(all="ignore"), pytest.raises(
+                PointError, match="non-finite localization error") as caught:
+            run_simulations(configs)
+        assert caught.value.point == 1
 
 
 class TestPacketBitBlocks:
@@ -589,6 +689,10 @@ class TestRunSimulation:
         for iterations in (most + 1, 10 ** 18):
             with pytest.raises(ValueError, match="iterations must be at most"):
                 small_config(grid_rows=3, grid_cols=3, iterations=iterations)
+        # An empty grid's periods still run: it counts as one node.
+        with pytest.raises(ValueError, match="iterations must be at most"):
+            small_config(grid_rows=2, grid_cols=2,
+                         iterations=sim._MAX_ATTEMPTS + 1)
 
     def test_attempt_accounting(self):
         config = small_config(iterations=30)
